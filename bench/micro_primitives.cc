@@ -2,7 +2,7 @@
 //
 // The table benches measure whole grafts; this binary isolates the unit
 // costs the technologies are built from: the SFI mask, the bounds check,
-// the NIL check, one VM dispatch (stack and register IR), one Tcl command,
+// the NIL check, one VM dispatch (interpreted and JIT-compiled), one Tcl command,
 // one upcall round trip, and the Word32-on-64 truncation tax from the
 // paper's Alpha MD5 story.
 
@@ -17,7 +17,6 @@
 #include "src/envs/word.h"
 #include "src/md5/md5.h"
 #include "src/minnow/compiler.h"
-#include "src/minnow/regir.h"
 #include "src/minnow/vm.h"
 #include "src/sfi/sandbox.h"
 #include "src/tclet/interp.h"
@@ -148,13 +147,15 @@ void BM_MinnowInterpLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_MinnowInterpLoop);
 
+// Java/translated: the same bytecode compiled at load time by the JIT.
 void BM_MinnowTranslatedLoop(benchmark::State& state) {
-  minnow::VM vm(minnow::Compile(kLoopSource));
+  minnow::VmOptions options;
+  options.dispatch = minnow::DispatchMode::kJit;
+  minnow::VM vm(minnow::Compile(kLoopSource), options);
   vm.RunInit();
-  minnow::RegExecutor executor(vm);
   const minnow::Value arg = minnow::Value::Int(1000);
   for (auto _ : state) {
-    auto v = executor.Call("work", std::span<const minnow::Value>(&arg, 1));
+    auto v = vm.Call("work", std::span<const minnow::Value>(&arg, 1));
     benchmark::DoNotOptimize(v.bits);
   }
   state.SetItemsProcessed(state.iterations() * 1000);

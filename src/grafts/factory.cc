@@ -33,6 +33,11 @@ std::size_t LdiskSandboxBytes(const ldisk::Geometry& geometry) {
 
 constexpr std::size_t kSmallSandbox = 1u << 20;
 
+// Technology::kJavaTranslated is the same bytecode compiled at load time by
+// the template JIT, every safety check kept.
+constexpr MinnowConfig kJavaConfig{};
+constexpr MinnowConfig kJavaTranslatedConfig{.jit = true};
+
 }  // namespace
 
 std::unique_ptr<core::PrioritizationGraft> CreateEvictionGraft(Technology technology,
@@ -49,9 +54,9 @@ std::unique_ptr<core::PrioritizationGraft> CreateEvictionGraft(Technology techno
     case Technology::kSfiFull:
       return std::make_unique<MarshaledEvictionGraft<envs::SfiFullEnv>>(kSmallSandbox, preempt);
     case Technology::kJava:
-      return std::make_unique<MinnowEvictionGraft>(MinnowEngine::kInterpreter);
+      return std::make_unique<MinnowEvictionGraft>(kJavaConfig);
     case Technology::kJavaTranslated:
-      return std::make_unique<MinnowEvictionGraft>(MinnowEngine::kTranslated);
+      return std::make_unique<MinnowEvictionGraft>(kJavaTranslatedConfig);
     case Technology::kTcl:
       return std::make_unique<TcletEvictionGraft>();
     case Technology::kUpcall:
@@ -74,9 +79,9 @@ std::unique_ptr<core::StreamGraft> CreateMd5Graft(Technology technology,
     case Technology::kSfiFull:
       return std::make_unique<EnvMd5Graft<envs::SfiFullEnv>>(kSmallSandbox, preempt);
     case Technology::kJava:
-      return std::make_unique<MinnowMd5Graft>(MinnowEngine::kInterpreter);
+      return std::make_unique<MinnowMd5Graft>(kJavaConfig);
     case Technology::kJavaTranslated:
-      return std::make_unique<MinnowMd5Graft>(MinnowEngine::kTranslated);
+      return std::make_unique<MinnowMd5Graft>(kJavaTranslatedConfig);
     case Technology::kTcl:
       return std::make_unique<TcletMd5Graft>();
     case Technology::kUpcall:
@@ -104,9 +109,9 @@ std::unique_ptr<core::BlackBoxGraft> CreateLogicalDiskGraft(Technology technolog
                                                                      LdiskSandboxBytes(geometry),
                                                                      preempt);
     case Technology::kJava:
-      return std::make_unique<MinnowLogicalDiskGraft>(geometry, MinnowEngine::kInterpreter);
+      return std::make_unique<MinnowLogicalDiskGraft>(geometry, kJavaConfig);
     case Technology::kJavaTranslated:
-      return std::make_unique<MinnowLogicalDiskGraft>(geometry, MinnowEngine::kTranslated);
+      return std::make_unique<MinnowLogicalDiskGraft>(geometry, kJavaTranslatedConfig);
     case Technology::kTcl:
       return std::make_unique<TcletLogicalDiskGraft>(geometry);
     case Technology::kUpcall:

@@ -5,7 +5,6 @@
 
 #include "src/grafts/minnow_grafts.h"
 #include "src/minnow/compiler.h"
-#include "src/minnow/regir.h"
 #include "src/minnow/vm.h"
 #include "src/tclet/interp.h"
 #include "src/upcall/upcall_engine.h"
@@ -73,14 +72,17 @@ int KindCode(sched::TaskKind kind) {
 
 class MinnowSchedulerGraft : public sched::SchedulerGraft {
  public:
-  explicit MinnowSchedulerGraft(MinnowEngine engine) : engine_(engine) {
+  explicit MinnowSchedulerGraft(minnow::DispatchMode dispatch)
+      : technology_(MinnowTechnologyName(dispatch)) {
     minnow::HostDecl count{"task_count", {}, minnow::Type::Int()};
     minnow::HostDecl kind{"task_kind", {minnow::Type::Int()}, minnow::Type::Int()};
     minnow::HostDecl runnable{"task_runnable", {minnow::Type::Int()}, minnow::Type::Bool()};
     minnow::HostDecl pending{"task_pending", {minnow::Type::Int()}, minnow::Type::Int()};
 
+    minnow::VmOptions options;
+    options.dispatch = dispatch;
     vm_ = std::make_unique<minnow::VM>(
-        minnow::Compile(kMinnowSource, {count, kind, runnable, pending}));
+        minnow::Compile(kMinnowSource, {count, kind, runnable, pending}), options);
     vm_->BindHost("task_count", [this](minnow::VM&, std::span<const Value>) {
       return Value::Int(static_cast<std::int64_t>(tasks_->size()));
     });
@@ -94,23 +96,17 @@ class MinnowSchedulerGraft : public sched::SchedulerGraft {
       return Value::Int(At(args).pending_requests);
     });
     vm_->RunInit();
-    if (engine_ == MinnowEngine::kTranslated) {
-      executor_ = std::make_unique<minnow::RegExecutor>(*vm_);
-    }
   }
 
   sched::TaskId PickNext(const std::vector<sched::Task>& tasks) override {
     tasks_ = &tasks;
-    const Value result = engine_ == MinnowEngine::kTranslated ? executor_->Call("pick_next", {})
-                                                              : vm_->Call("pick_next", {});
+    const Value result = vm_->Call("pick_next", {});
     tasks_ = nullptr;
     const std::int64_t id = result.AsInt();
     return id < 0 ? sched::kNoTask : static_cast<sched::TaskId>(id);
   }
 
-  const char* technology() const override {
-    return engine_ == MinnowEngine::kTranslated ? "Java/translated" : "Java";
-  }
+  const char* technology() const override { return technology_; }
 
  private:
   const sched::Task& At(std::span<const Value> args) const {
@@ -122,9 +118,8 @@ class MinnowSchedulerGraft : public sched::SchedulerGraft {
     return (*tasks_)[static_cast<std::size_t>(i)];
   }
 
-  MinnowEngine engine_;
+  const char* technology_;
   std::unique_ptr<minnow::VM> vm_;
-  std::unique_ptr<minnow::RegExecutor> executor_;
   const std::vector<sched::Task>* tasks_ = nullptr;
 };
 
@@ -228,9 +223,9 @@ std::unique_ptr<sched::SchedulerGraft> CreateSchedulerGraft(core::Technology tec
   using core::Technology;
   switch (technology) {
     case Technology::kJava:
-      return std::make_unique<MinnowSchedulerGraft>(MinnowEngine::kInterpreter);
+      return std::make_unique<MinnowSchedulerGraft>(minnow::DispatchMode::kDefault);
     case Technology::kJavaTranslated:
-      return std::make_unique<MinnowSchedulerGraft>(MinnowEngine::kTranslated);
+      return std::make_unique<MinnowSchedulerGraft>(minnow::DispatchMode::kJit);
     case Technology::kTcl:
       return std::make_unique<TcletSchedulerGraft>();
     case Technology::kUpcall:

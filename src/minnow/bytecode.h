@@ -53,7 +53,7 @@
 //   kTrap          unconditional trap; operand selects the message
 //
 // Superinstructions (emitted only by optimizer.h's FuseSuperinstructions,
-// never by the compiler; the register translator refuses them):
+// never by the compiler):
 //
 //   kLoadAddI      tos += locals[operand]            (kLoadLocal + kAddI)
 //   kAddConstI     tos += operand                    (kConstInt + kAddI)
@@ -287,9 +287,9 @@ struct GlobalSlot {
 // pass only rewrites an access to its unchecked variant when its abstract
 // interpreter has proven the elided check can never fire; the certificate
 // binds that proof to the exact post-rewrite opcode stream via an FNV-1a
-// hash, so the verifier and the regir translator can refuse unchecked
-// opcodes that did not come out of the elision pass (or were edited after
-// it ran).
+// hash, so the verifier can refuse unchecked opcodes that did not come out
+// of the elision pass (or were edited after it ran), and the VM refuses a
+// program whose code no longer matches its stamp.
 struct ElisionCertificate {
   bool attached = false;
   std::uint64_t code_hash = 0;  // ElisionCodeHash over the rewritten program

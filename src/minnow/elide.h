@@ -34,8 +34,9 @@
 //      divisor *and* ruling out INT64_MIN / -1.
 //
 // The proof is bound to the rewritten code by an FNV-1a hash stamped into
-// Program::elision; VerifyProgram and the regir translator refuse unchecked
-// opcodes whose certificate is missing or stale.
+// Program::elision; VerifyProgram refuses unchecked opcodes whose
+// certificate is missing or stale, and every VM, interpreted or jitted,
+// refuses a program whose certificate is stale.
 
 #ifndef GRAFTLAB_SRC_MINNOW_ELIDE_H_
 #define GRAFTLAB_SRC_MINNOW_ELIDE_H_

@@ -53,9 +53,9 @@ struct FuseStats {
 // was chosen from the opcode-pair frequencies the VM profiler exports through
 // graftd telemetry (see DESIGN.md). Fusion never crosses a jump target and
 // preserves trap semantics exactly; only instruction (and therefore fuel)
-// counts change. Fused programs still pass the verifier, but the register
-// translator (regir.h) refuses them — fuse only programs headed for the
-// interpreter. The caller should re-run VerifyProgram to refresh max_stack.
+// counts change. Fused programs pass the verifier and run on every dispatch
+// mode, the JIT included. The caller should re-run VerifyProgram to refresh
+// max_stack.
 FuseStats FuseSuperinstructions(Program& program);
 
 }  // namespace minnow

@@ -17,8 +17,9 @@
 // benchmark both. Frames and the operand stack live in one envs::Arena
 // allocation made at construction — calls never touch the allocator.
 //
-// regir.h layers the paper's "runtime code generation" future-work variant
-// on top: the same Program translated at load time to a faster register IR.
+// DispatchMode::kJit is the paper's "runtime code generation" future-work
+// variant: the same verified Program compiled to native code at load time
+// (jit.h), with this interpreter as its deopt target.
 
 #ifndef GRAFTLAB_SRC_MINNOW_VM_H_
 #define GRAFTLAB_SRC_MINNOW_VM_H_
@@ -161,7 +162,6 @@ class VM : public Heap::RootProvider {
   std::vector<std::pair<std::string, std::uint64_t>> OpcodePairCounts(std::size_t top_n = 16) const;
 
  private:
-  friend class RegExecutor;
   friend class Jit;  // the JIT compiles against — and deopts into — VM state
 
   struct Frame {

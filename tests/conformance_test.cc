@@ -192,8 +192,8 @@ INSTANTIATE_TEST_SUITE_P(AllTechnologies, LdiskTraceConformance,
 // Every VM configuration the engine rewrite introduced — switch vs threaded
 // vs jit dispatch, optimizer on/off, superinstruction fusion on/off, check
 // elision on/off — must produce the same traces as the plain reference
-// (switch dispatch, raw bytecode). The translated engine rides along as
-// three more configurations.
+// (switch dispatch, raw bytecode). The jit rows cover Java/translated, which
+// is the JIT with fusion on and elision off.
 
 struct MinnowCase {
   std::string name;
@@ -207,7 +207,6 @@ std::vector<MinnowCase> MinnowMatrix() {
       for (const bool fuse : {false, true}) {
         for (const bool elide : {false, true}) {
           grafts::MinnowConfig config;
-          config.engine = grafts::MinnowEngine::kInterpreter;
           config.optimize = optimize;
           config.fuse = fuse;
           config.elide = elide;
@@ -228,7 +227,6 @@ std::vector<MinnowCase> MinnowMatrix() {
     for (const bool fuse : {false, true}) {
       for (const bool elide : {false, true}) {
         grafts::MinnowConfig config;
-        config.engine = grafts::MinnowEngine::kInterpreter;
         config.optimize = optimize;
         config.fuse = fuse;
         config.elide = elide;
@@ -239,26 +237,11 @@ std::vector<MinnowCase> MinnowMatrix() {
       }
     }
   }
-  grafts::MinnowConfig translated;
-  translated.engine = grafts::MinnowEngine::kTranslated;
-  cases.push_back({"translated", translated});
-  grafts::MinnowConfig translated_opt;
-  translated_opt.engine = grafts::MinnowEngine::kTranslated;
-  translated_opt.optimize = true;
-  cases.push_back({"translated_opt", translated_opt});
-  // The register translator consumes certified bytecode: unchecked opcodes
-  // translate back to their checked register forms (sound — the certificate
-  // proves those checks never fire), so the traces must still be identical.
-  grafts::MinnowConfig translated_elide;
-  translated_elide.engine = grafts::MinnowEngine::kTranslated;
-  translated_elide.elide = true;
-  cases.push_back({"translated_elided", translated_elide});
   return cases;
 }
 
 grafts::MinnowConfig ReferenceConfig() {
   grafts::MinnowConfig config;
-  config.engine = grafts::MinnowEngine::kInterpreter;
   config.dispatch = minnow::DispatchMode::kSwitch;
   config.fuse = false;
   return config;

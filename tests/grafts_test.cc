@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -17,6 +18,8 @@
 #include "src/grafts/minnow_grafts.h"
 #include "src/grafts/tclet_grafts.h"
 #include "src/md5/md5.h"
+#include "src/minnow/diag.h"
+#include "src/minnow/jit.h"
 #include "src/vmsim/frame.h"
 
 namespace {
@@ -354,6 +357,62 @@ TEST(GraftHostIntegration, BudgetedWorkCompletesWhenFast) {
   bool ran = false;
   EXPECT_TRUE(host.RunWithBudget(std::chrono::seconds(10), [&] { ran = true; }));
   EXPECT_TRUE(ran);
+}
+
+// --- Java/translated: the same bytecode, compiled by the JIT ---
+
+// Hashes `data` through a fresh md5 graft of `technology` on a budget of
+// `fuel` units. Returns the fuel left, or nullopt when the budget ran out.
+std::optional<std::int64_t> Md5FuelLeft(Technology technology,
+                                        const std::vector<std::uint8_t>& data,
+                                        std::int64_t fuel) {
+  auto graft = grafts::CreateMd5Graft(technology);
+  graft->SetFuel(fuel);
+  try {
+    graft->Consume(data.data(), data.size());
+    (void)graft->Finish();
+  } catch (const minnow::Trap&) {
+    return std::nullopt;
+  }
+  return graft->FuelRemaining();
+}
+
+TEST(JavaTranslated, FuelLedgerMatchesInterpreter) {
+  std::vector<std::uint8_t> data(3000);
+  std::mt19937 rng(12);
+  for (auto& b : data) {
+    b = static_cast<std::uint8_t>(rng());
+  }
+  constexpr std::int64_t kAmple = std::int64_t{1} << 40;
+  const auto java_left = Md5FuelLeft(Technology::kJava, data, kAmple);
+  ASSERT_TRUE(java_left.has_value());
+  EXPECT_EQ(Md5FuelLeft(Technology::kJavaTranslated, data, kAmple), java_left);
+
+  // The exact budget the interpreter needed completes on both engines with
+  // nothing left; one unit less runs out on both.
+  const std::int64_t used = kAmple - *java_left;
+  for (const Technology technology : {Technology::kJava, Technology::kJavaTranslated}) {
+    EXPECT_EQ(Md5FuelLeft(technology, data, used), std::optional<std::int64_t>(0))
+        << core::TechnologyName(technology);
+    EXPECT_EQ(Md5FuelLeft(technology, data, used - 1), std::nullopt)
+        << core::TechnologyName(technology);
+  }
+}
+
+TEST(JavaTranslated, Md5GraftRunsCompiledCode) {
+  auto graft = grafts::CreateMd5Graft(Technology::kJavaTranslated);
+  EXPECT_STREQ(graft->technology(), "Java/translated");
+  std::uint64_t compiled_fns = 0;
+  for (const auto& [name, count] : graft->ExecutionProfile()) {
+    if (name == "jit_compiled_fns") {
+      compiled_fns = count;
+    }
+  }
+  if (minnow::Jit::Available()) {
+    EXPECT_GT(compiled_fns, 0u);
+  } else {
+    EXPECT_EQ(compiled_fns, 0u);  // silent interpreter fallback
+  }
 }
 
 // --- Technology registry ---
