@@ -82,10 +82,13 @@ class Asm {
                                          (static_cast<std::int64_t>(at) + 1));
   }
 
-  void Rex(bool w, std::uint8_t reg, std::uint8_t index, std::uint8_t base) {
+  // `byte_reg` names an 8-bit register operand: spl/bpl/sil/dil need a
+  // (possibly empty) REX prefix, or the encoding means ah/ch/dh/bh.
+  void Rex(bool w, std::uint8_t reg, std::uint8_t index, std::uint8_t base,
+           int byte_reg = -1) {
     const std::uint8_t rex = 0x40 | (w ? 8 : 0) | (((reg >> 3) & 1) << 2) |
                              (((index >> 3) & 1) << 1) | ((base >> 3) & 1);
-    if (rex != 0x40) U8(rex);
+    if (rex != 0x40 || (byte_reg >= 4 && byte_reg <= 7)) U8(rex);
   }
 
   // ModRM (+SIB) for [base + disp]. base==rsp/r12 forces a SIB byte;
@@ -144,9 +147,6 @@ class Asm {
   void Load8Zx(Reg dst, Reg base, std::int32_t disp) {  // movzx r32, byte [..]
     Rex(false, dst, 0, base); U8(0x0F); U8(0xB6); Mem(dst, base, disp);
   }
-  void Store8(Reg base, std::int32_t disp, Reg src) {  // src must encode sans REX: al/cl/dl/bl
-    Rex(false, src, 0, base); U8(0x88); Mem(src, base, disp);
-  }
   void Load64Sib(Reg dst, Reg base, Reg index, int scale, std::int32_t disp) {
     Rex(true, dst, index, base); U8(0x8B); MemSib(dst, base, index, scale, disp);
   }
@@ -163,7 +163,10 @@ class Asm {
     Rex(false, dst, index, base); U8(0x0F); U8(0xB6); MemSib(dst, base, index, scale, disp);
   }
   void Store8Sib(Reg base, Reg index, int scale, std::int32_t disp, Reg src) {
-    Rex(false, src, index, base); U8(0x88); MemSib(src, base, index, scale, disp);
+    Rex(false, src, index, base, src); U8(0x88); MemSib(src, base, index, scale, disp);
+  }
+  void Store8(Reg base, std::int32_t disp, Reg src) {  // any byte register
+    Rex(false, src, 0, base, src); U8(0x88); Mem(src, base, disp);
   }
   void MovImm64(Reg dst, std::uint64_t imm) {
     Rex(true, 0, 0, dst); U8(static_cast<std::uint8_t>(0xB8 | (dst & 7))); U64(imm);
@@ -189,24 +192,30 @@ class Asm {
   // --- ALU, reg ← reg/mem forms (opcode 0x03-style: reg, r/m) ---
   void AddRM(Reg dst, Reg base, std::int32_t disp) { Rex(true, dst, 0, base); U8(0x03); Mem(dst, base, disp); }
   void SubRM(Reg dst, Reg base, std::int32_t disp) { Rex(true, dst, 0, base); U8(0x2B); Mem(dst, base, disp); }
-  void AndRM(Reg dst, Reg base, std::int32_t disp) { Rex(true, dst, 0, base); U8(0x23); Mem(dst, base, disp); }
-  void OrRM(Reg dst, Reg base, std::int32_t disp) { Rex(true, dst, 0, base); U8(0x0B); Mem(dst, base, disp); }
-  void XorRM(Reg dst, Reg base, std::int32_t disp) { Rex(true, dst, 0, base); U8(0x33); Mem(dst, base, disp); }
   void ImulRM(Reg dst, Reg base, std::int32_t disp) { Rex(true, dst, 0, base); U8(0x0F); U8(0xAF); Mem(dst, base, disp); }
-  void AddMR(Reg base, std::int32_t disp, Reg src) { Rex(true, src, 0, base); U8(0x01); Mem(src, base, disp); }
-  void AddRM32(Reg dst, Reg base, std::int32_t disp) { Rex(false, dst, 0, base); U8(0x03); Mem(dst, base, disp); }
-  void SubRM32(Reg dst, Reg base, std::int32_t disp) { Rex(false, dst, 0, base); U8(0x2B); Mem(dst, base, disp); }
   void ImulRM32(Reg dst, Reg base, std::int32_t disp) { Rex(false, dst, 0, base); U8(0x0F); U8(0xAF); Mem(dst, base, disp); }
   void ImulImm(Reg dst, Reg src, std::int32_t imm) {  // imul r64, r/m64, imm32
     Rex(true, dst, 0, src); U8(0x69); ModReg(dst, src); U32(static_cast<std::uint32_t>(imm));
   }
   void AddRR(Reg dst, Reg src) { Rex(true, src, 0, dst); U8(0x01); ModReg(src, dst); }
   void SubRR(Reg dst, Reg src) { Rex(true, src, 0, dst); U8(0x29); ModReg(src, dst); }
-  void AndRR(Reg dst, Reg src) { Rex(true, src, 0, dst); U8(0x21); ModReg(src, dst); }
-  void OrRR(Reg dst, Reg src) { Rex(true, src, 0, dst); U8(0x09); ModReg(src, dst); }
-  void XorRR(Reg dst, Reg src) { Rex(true, src, 0, dst); U8(0x31); ModReg(src, dst); }
   void XorRR32(Reg dst, Reg src) { Rex(false, src, 0, dst); U8(0x31); ModReg(src, dst); }
   void ImulRR(Reg dst, Reg src) { Rex(true, dst, 0, src); U8(0x0F); U8(0xAF); ModReg(dst, src); }
+  // Generic two-operand ALU (add/or/and/sub/xor/cmp): the opcode byte is
+  // digit*8 + 1 for r/m <- reg and digit*8 + 3 for reg <- r/m.
+  void AluRR(AluDigit digit, Reg dst, Reg src, bool w = true) {
+    Rex(w, src, 0, dst); U8(static_cast<std::uint8_t>(digit * 8 + 1)); ModReg(src, dst);
+  }
+  void AluRMem(AluDigit digit, Reg dst, Reg base, std::int32_t disp, bool w = true) {
+    Rex(w, dst, 0, base); U8(static_cast<std::uint8_t>(digit * 8 + 3)); Mem(dst, base, disp);
+  }
+  void CmpMR(Reg base, std::int32_t disp, Reg src) {  // cmp qword [..], src
+    Rex(true, src, 0, base); U8(0x39); Mem(src, base, disp);
+  }
+  void ImulRR32(Reg dst, Reg src) { Rex(false, dst, 0, src); U8(0x0F); U8(0xAF); ModReg(dst, src); }
+  void ImulImm32(Reg dst, Reg src, std::int32_t imm) {
+    Rex(false, dst, 0, src); U8(0x69); ModReg(dst, src); U32(static_cast<std::uint32_t>(imm));
+  }
   void CmpRR(Reg a, Reg b) { Rex(true, b, 0, a); U8(0x39); ModReg(b, a); }  // cmp a, b
   void CmpRM(Reg a, Reg base, std::int32_t disp) { Rex(true, a, 0, base); U8(0x3B); Mem(a, base, disp); }
   void TestRR(Reg a, Reg b) { Rex(true, b, 0, a); U8(0x85); ModReg(b, a); }
@@ -252,13 +261,12 @@ class Asm {
   void NotR32(Reg rm) { Rex(false, 0, 0, rm); U8(0xF7); ModReg(GRP_NOT, rm); }
   void DecR(Reg rm) { Rex(true, 0, 0, rm); U8(0xFF); ModReg(1, rm); }
   void Cqo() { U8(0x48); U8(0x99); }
-  void Cdq() { U8(0x99); }
 
-  void Setcc(Cc cc, Reg rm8) {  // rm8 must be al/cl/dl/bl
-    U8(0x0F); U8(static_cast<std::uint8_t>(0x90 | cc)); ModReg(0, rm8);
+  void Setcc(Cc cc, Reg rm8) {
+    Rex(false, 0, 0, rm8, rm8); U8(0x0F); U8(static_cast<std::uint8_t>(0x90 | cc)); ModReg(0, rm8);
   }
   void MovzxR32R8(Reg dst, Reg src8) {
-    Rex(false, dst, 0, src8); U8(0x0F); U8(0xB6); ModReg(dst, src8);
+    Rex(false, dst, 0, src8, src8); U8(0x0F); U8(0xB6); ModReg(dst, src8);
   }
 
   void Lea(Reg dst, Reg base, std::int32_t disp) {
@@ -338,23 +346,24 @@ struct FrameOffsets {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Per-function compiler. Register roles (all callee-saved, so helper calls
-// need no spills):
+// Per-function compiler. Register roles:
 //   r14 = JitCtx*
-//   r13 = locals base  (stack + 8*frame->base; operand slot i lives at
-//                       [r13 + 8*(num_locals + i)])
-//   r12 = stack base
+//   r13 = locals base (stack + 8*frame->base). Every slot — caller local s,
+//         operand depth d at s = num_locals + d, a spliced callee's locals
+//         and operands above those — lives at [r13 + 8*s].
 //   rbx = globals base
 //   rbp = current Frame*
-// rax/rcx/rdx/rsi are template-local scratch. There is no stack-pointer
-// register: the verifier proves one operand depth per pc, so every operand
-// address is static and sp_ is materialized only at side exits and helper
-// calls (sp = frame->base + num_locals + depth).
+//   r15 = fuel counter; the retired ledger is derived from it (EmitPrologue)
+//   r12, r8-r11 = pinned locals: up to five hot locals of a loop-carrying
+//         function live in registers for the whole function
+//   rax, rcx, rdx, rsi, rdi = scratch pool for the virtual operand stack
+// There is no stack-pointer register: the verifier proves one operand depth
+// per pc, so every operand address is static and sp_ is materialized only at
+// side exits and helper calls (sp = frame->base + num_locals + depth).
 // ---------------------------------------------------------------------------
 
 constexpr Reg CTX = R14;
 constexpr Reg LOCALS = R13;
-constexpr Reg STK = R12;
 constexpr Reg GLB = RBX;
 constexpr Reg FRM = RBP;
 // The live fuel counter. ctx->fuel is authoritative only at sync points
@@ -365,6 +374,55 @@ constexpr Reg FRM = RBP;
 // store so the sentinel survives.
 constexpr Reg FUEL = R15;
 constexpr std::uint64_t kFuelUnlimitedBias = 0x7fffffffffffffffull;
+constexpr Reg kPinRegs[] = {R12, R8, R9, R10, R11};
+constexpr Reg kScratch[] = {RAX, RCX, RDX, RSI, RDI};
+constexpr Reg kNoReg = RSP;  // "no register": rsp is never allocated
+
+// Where one operand-stack value lives at compile time. kSlot means the
+// interpreter's own slot holds it (memory is current); every other kind
+// means the slot is stale and the value is elsewhere — the deopt map of an
+// exit lists exactly those entries.
+struct Val {
+  enum Kind : std::uint8_t { kSlot, kReg, kImm, kLocal, kCond };
+  Kind kind = kSlot;
+  Reg reg = kNoReg;      // kReg
+  Cc cc = CC_E;          // kCond: the value is setcc(cc) of the live flags
+  int slot = 0;          // kSlot: its own slot; kLocal: the caller local aliased
+  std::int64_t imm = 0;  // kImm
+
+  static Val Slot(int s) { Val v; v.slot = s; return v; }
+  static Val InReg(Reg r) { Val v; v.kind = kReg; v.reg = r; return v; }
+  static Val Imm(std::int64_t i) { Val v; v.kind = kImm; v.imm = i; return v; }
+  static Val Local(int s) { Val v; v.kind = kLocal; v.slot = s; return v; }
+  static Val Cond(Cc c) { Val v; v.kind = kCond; v.cc = c; return v; }
+};
+
+constexpr std::uint64_t kU32Mask = 0xFFFFFFFFull;
+
+bool FitsI32(std::int64_t v) { return v >= INT32_MIN && v <= INT32_MAX; }
+
+// The condition that holds for (b, a) when `cc` holds for (a, b).
+Cc Mirror(Cc cc) {
+  switch (cc) {
+    case CC_L: return CC_G;
+    case CC_G: return CC_L;
+    case CC_LE: return CC_GE;
+    case CC_GE: return CC_LE;
+    case CC_B: return CC_A;
+    case CC_A: return CC_B;
+    case CC_BE: return CC_AE;
+    case CC_AE: return CC_BE;
+    default: return cc;
+  }
+}
+
+// log2(v) when v is a power of two in [1, 2^31], else -1.
+int Log2Small(std::int64_t v) {
+  for (int k = 0; k <= 31; ++k) {
+    if (v == (std::int64_t{1} << k)) return k;
+  }
+  return -1;
+}
 
 struct Eff {
   int pops = 0;
@@ -535,6 +593,21 @@ bool IsBlockEnder(const Eff& e, Op op) {
   return e.branch || e.terminal || op == Op::kCall || op == Op::kCallHost;
 }
 
+// The control-flow facts the compiler needs about one function's code
+// (the function being compiled, or a callee being spliced into it).
+struct BlockMap {
+  std::vector<int> depth;       // operand depth per pc; -1 = unreachable
+  std::vector<char> leader;     // entry, branch targets, the insn after any ender
+  std::vector<char> target;     // pc is some branch's target (a join)
+  std::vector<int> blk_leader;  // pc -> its block's leader pc
+  std::vector<int> blk_len;     // leader pc -> instruction count
+  // Fuel plan (EmitBlockAccounting): check leaders are the entry, loop
+  // heads, and the insn after a call; run[leader] is the longest
+  // instruction count from that block's start to the next check leader.
+  std::vector<char> check;
+  std::vector<int> run;
+};
+
 struct Compiler {
   const Program& program;
   const FunctionCode& fn;
@@ -554,11 +627,11 @@ struct Compiler {
   std::size_t stack_slots;
 
   Asm a{};
-  std::vector<int> depth{};        // per pc; -1 = unreachable
-  std::vector<char> leader{};
-  std::vector<int> blk_leader{};   // pc -> its block's leader pc
-  std::vector<int> blk_len{};      // leader pc -> instruction count
+  BlockMap m_{};                   // the function being compiled
   std::vector<std::int64_t> pc_off{};  // pc -> native offset (-1 = not emitted)
+  // Native offset -> bytecode pc, ascending (Jit::Resolve). Code spliced
+  // from a callee resolves to the caller's kCall.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pc_map{};
 
   struct Fix {
     std::size_t at;
@@ -570,79 +643,73 @@ struct Compiler {
     std::size_t at;      // rel32 patch position jumping to this stub
     std::uint32_t pc;    // faulting bytecode pc (reexec only)
     int depth;           // operand depth at the site (reexec sp commit)
-    std::int64_t give;   // retired give-back (block overcharge)
     bool reexec;         // true: kDeopt + frame rebuild; false: exception passthrough
-    std::int64_t fuel_give;  // fuel register give-back (differs at fuel exits)
+    std::int64_t give;   // fuel give-back: the charged run the exit did not execute
     // Exits raised inside a spliced (inlined) callee: the stub materializes
     // the frame the hot path skipped, so pc/depth above are callee-relative
     // and the interpreter resumes inside the callee as if kCall had pushed.
-    const FunctionCode* inl_callee = nullptr;
-    std::int32_t inl_kk = 0;       // callee base - caller base, in slots
-    std::int32_t inl_ret_pc = 0;   // caller pc after the kCall
+    const FunctionCode* inl_callee;
+    std::int32_t inl_kk;      // callee base - caller base, in slots
+    std::int32_t inl_ret_pc;  // caller pc after the kCall
+    std::uint32_t caller_pc;  // bytecode pc the stub resolves to
+    // The deopt map: every operand slot whose value is not in memory at the
+    // exit, by depth (caller coordinates), and where it is instead.
+    std::vector<std::pair<int, Val>> map;
   };
   std::vector<Exit> exits{};
   std::vector<std::size_t> epi_fixes{};  // rel32 patches to the epilogue
   std::size_t epilogue_off = 0;
 
-  // --- slot addressing -----------------------------------------------------
+  // --- the virtual operand stack ------------------------------------------
   //
-  // rax doubles as a one-entry value cache: `rax_slot_` names the operand
-  // depth (`rax_local_` the local slot, `rax_global_` the global slot) whose
-  // full 64-bit value rax is known to hold. Stack code is chains — one instruction's result is the
-  // next one's left operand — so the cache turns the store+reload at every
-  // link into a store alone, breaking the store-to-load forwarding chain
-  // that would otherwise pace every template. The discipline: loads into
-  // rax establish a claim, StoreSlot(., RAX) re-establishes one (so a raw
-  // rax clobber followed by that store is self-correcting — the store
-  // writes the clobbered value), memory writes that bypass StoreSlot kill
-  // the matching claim, and templates that clobber rax without a closing
-  // StoreSlot(., RAX) call KillRax() themselves. Block leaders always start
-  // cold: control may arrive from any predecessor.
-  int rax_slot_ = -1;
-  std::int64_t rax_local_ = -1;
-  std::int64_t rax_global_ = -1;
-  void KillRax() {
-    rax_slot_ = -1;
-    rax_local_ = -1;
-    rax_global_ = -1;
-  }
-  void KillSlot(int d) {
-    if (rax_slot_ == d) rax_slot_ = -1;
-  }
-  void KillLocal(std::int64_t s) {
-    if (inl_local_base_ >= 0) {
-      KillSlot(inl_local_base_ + static_cast<int>(s));
-      return;
-    }
-    if (rax_local_ == s) rax_local_ = -1;
-  }
-  void KillGlobal(std::int64_t g) {
-    if (rax_global_ == g) rax_global_ = -1;
-  }
+  // vs_[d] says where operand depth d (caller coordinates; a spliced
+  // callee's locals and operands sit above the call's arguments) lives
+  // right now. Values reach their interpreter slots only when a block ends
+  // (every branch and join flushes), before a helper or native call (the
+  // conservative GC scan and reentrant hosts read slots), and in exit stubs,
+  // which write back their own deopt map before committing sp/pc. Templates
+  // pop operands into in_flight_ so exits raised mid-instruction still see
+  // the pre-instruction stack — the interpreter re-executes it.
+  std::vector<Val> vs_{};
+  std::vector<Val> in_flight_{};
+  std::uint32_t busy_ = 0;  // scratch registers holding a value
+  bool falls_ = true;       // control can fall through into the next pc
+  bool failed_ = false;     // a template could not be emitted: bail out
+  // Pinned locals: pin_[s] holds caller local s for the whole function
+  // (kNoReg: memory). Stored before every call and exit, reloaded after.
+  std::vector<Reg> pin_{};
+  std::vector<int> pinned_{};
 
   // --- leaf inlining (kCall) -----------------------------------------------
   //
   // A short leaf callee is spliced into the caller: its locals and operand
   // stack land exactly where its frame would have lived (local i -> caller
-  // operand slot inl_local_base_ + i, operand j -> slot inl_op_bias_ + j),
-  // so the templates — and the rax cache's claim space — work unchanged in
-  // caller coordinates. The interpreter-identical depth, capacity, and
-  // stack-overflow checks run first, but no frame is written on the hot
-  // path: an exit raised inside the spliced region jumps to a stub that
-  // materializes the callee frame (and the caller's resume pc) before
-  // deopting, so the interpreter picks up at the exact callee instruction
-  // with the state a real call would have produced.
+  // operand depth inl_local_base_ + i, operand j -> inl_op_bias_ + j), so
+  // the templates and the virtual stack work unchanged in caller
+  // coordinates — the arguments stay wherever the caller computed them. The
+  // interpreter-identical depth, capacity, and stack-overflow checks run
+  // first, but no frame is written on the hot path: an exit raised inside
+  // the spliced region jumps to a stub that materializes the callee frame
+  // (and the caller's resume pc) before deopting, so the interpreter picks
+  // up at the exact callee instruction with the state a real call would
+  // have produced.
   const FunctionCode* inl_fn_ = nullptr;  // non-null while splicing a callee
-  std::vector<int> inl_depth_{};          // callee operand depth per pc
-  std::vector<char> inl_leader_{};
-  std::vector<int> inl_blk_leader_{};
-  std::vector<int> inl_blk_len_{};
+  BlockMap inl_{};                        // the callee being spliced
   std::vector<std::int64_t> inl_off_{};   // callee pc -> native offset
   std::vector<Fix> inl_fixes_{};          // intra-splice branches; target == n means "after the splice"
   int inl_local_base_ = -1;
+  // Values a splice cannot change: the caller's operands below the
+  // arguments and the callee locals it never writes. Constants and local
+  // aliases among them, and up to two register values (frozen into rsi/rdi,
+  // which the splice's templates then leave alone), keep their place
+  // across the splice's joins and are never flushed; exits still write them
+  // from their deopt maps. keep_[d].kind == kSlot: not kept.
+  std::vector<Val> keep_{};
+  std::uint32_t frozen_ = 0;
   int inl_op_bias_ = 0;
   std::int32_t inl_kk_ = 0;
   std::int32_t inl_ret_pc_ = 0;
+  std::uint32_t cur_pc_ = 0;              // caller pc being compiled
   static constexpr std::size_t kInlineMaxInsns = 48;
 
   // Ops the splicer accepts: templates that touch only locals, globals, and
@@ -681,15 +748,74 @@ struct Compiler {
     }
   }
 
-  // True when `callee` is a splice candidate: short, every reachable insn
-  // whitelisted (and not denied by the fuzzer's compile filter — those must
-  // keep their forced-deopt seam), terminals only kRet/kRetVoid. Fills the
-  // same depth/leader/block maps Analyze builds for the caller.
-  bool PlanInline(const FunctionCode& callee, std::vector<int>& dep,
-                  std::vector<char>& lead, std::vector<int>& bleader,
-                  std::vector<int>& blen) {
-    const std::size_t n = callee.code.size();
-    if (n == 0 || n > kInlineMaxInsns) return false;
+  // Leaders (entry, branch targets, the insn after any ender), branch
+  // targets, the block map, and the fuel-check plan, from a finished depth
+  // analysis. False when reachable code has no leader (cannot happen for
+  // verified code).
+  bool MapBlocks(const FunctionCode& f, BlockMap& m) {
+    const std::size_t n = f.code.size();
+    const std::vector<int>& dep = m.depth;
+    m.leader.assign(n, 0);
+    m.target.assign(n, 0);
+    std::vector<char>& check = m.check;
+    check.assign(n, 0);
+    m.leader[0] = check[0] = 1;
+    for (std::size_t pc = 0; pc < n; ++pc) {
+      if (dep[pc] < 0) continue;
+      Eff e;
+      EffectOf(program, f.code[pc], e);
+      const Op op = f.code[pc].op;
+      if (IsBlockEnder(e, op) && pc + 1 < n) m.leader[pc + 1] = 1;
+      if ((op == Op::kCall || op == Op::kCallHost) && pc + 1 < n) check[pc + 1] = 1;
+      if (e.branch) {
+        m.leader[e.target] = m.target[e.target] = 1;
+        if (e.target <= pc) check[e.target] = 1;  // a loop head
+      }
+    }
+    // Blocks: from each leader to its first ender (or the next leader, when
+    // control falls through into one).
+    m.blk_leader.assign(n, -1);
+    m.blk_len.assign(n, 0);
+    int lp = -1;
+    for (std::size_t pc = 0; pc < n; ++pc) {
+      if (dep[pc] < 0) {
+        lp = -1;
+        continue;
+      }
+      if (m.leader[pc]) lp = static_cast<int>(pc);
+      if (lp < 0) return false;
+      m.blk_leader[pc] = lp;
+      m.blk_len[lp] = static_cast<int>(pc) - lp + 1;
+      Eff e;
+      EffectOf(program, f.code[pc], e);
+      if (IsBlockEnder(e, f.code[pc].op)) lp = -1;
+    }
+    // Every block that is not a check leader is reached from one through
+    // forward edges alone, so runs are computed in reverse pc order.
+    std::vector<int>& run = m.run;
+    run.assign(n, 0);
+    for (std::size_t pc = n; pc-- > 0;) {
+      if (dep[pc] < 0 || !m.leader[pc]) continue;
+      const std::size_t last = pc + static_cast<std::size_t>(m.blk_len[pc]) - 1;
+      Eff e;
+      EffectOf(program, f.code[last], e);
+      const auto next = [&](std::size_t q) {
+        return q < n && q > last && dep[q] >= 0 && !check[q] ? run[q] : 0;
+      };
+      int tail = 0;
+      if (!e.terminal) tail = next(last + 1);
+      if (e.branch) tail = std::max(tail, next(e.target));
+      run[pc] = m.blk_len[pc] + tail;
+    }
+    return true;
+  }
+
+  // Operand depth per pc by forward propagation; false on any disagreement
+  // with the verifier's stack discipline. `splice` additionally demands the
+  // inlining whitelist and kRet/kRetVoid as the only terminals.
+  bool Depths(const FunctionCode& f, std::vector<int>& dep, bool splice) {
+    const std::size_t n = f.code.size();
+    if (n == 0) return false;
     dep.assign(n, -1);
     std::vector<std::size_t> work;
     dep[0] = 0;
@@ -697,17 +823,19 @@ struct Compiler {
     while (!work.empty()) {
       const std::size_t pc = work.back();
       work.pop_back();
-      const Insn& ci = callee.code[pc];
-      if (!InlinableOp(ci.op)) return false;
-      if (opts.jit_compile_filter && !opts.jit_compile_filter(ci.op)) return false;
+      const Insn& insn = f.code[pc];
+      if (splice) {
+        if (!InlinableOp(insn.op)) return false;
+        if (opts.jit_compile_filter && !opts.jit_compile_filter(insn.op)) return false;
+      }
       Eff e;
-      if (!EffectOf(program, ci, e)) return false;
-      if (e.terminal && !e.branch && ci.op != Op::kRet && ci.op != Op::kRetVoid)
+      if (!EffectOf(program, insn, e)) return false;
+      if (splice && e.terminal && !e.branch && insn.op != Op::kRet && insn.op != Op::kRetVoid)
         return false;
       const int d = dep[pc];
       if (d < e.pops) return false;
       const int d2 = d - e.pops + e.pushes;
-      if (d2 > callee.max_stack || d2 > kMaxStack) return false;
+      if (d2 > f.max_stack || d2 > kMaxStack) return false;
       const auto propagate = [&](std::size_t q, int dq) {
         if (q >= n) return false;
         if (dep[q] == -1) {
@@ -720,148 +848,314 @@ struct Compiler {
       if (e.branch && !propagate(e.target, d - e.pops)) return false;
       if (!e.terminal && !propagate(pc + 1, d2)) return false;
     }
-    lead.assign(n, 0);
-    lead[0] = 1;
-    for (std::size_t pc = 0; pc < n; ++pc) {
-      if (dep[pc] < 0) continue;
-      Eff e;
-      EffectOf(program, callee.code[pc], e);
-      if (IsBlockEnder(e, callee.code[pc].op) && pc + 1 < n) lead[pc + 1] = 1;
-      if (e.branch) lead[e.target] = 1;
-    }
-    bleader.assign(n, -1);
-    blen.assign(n, 0);
-    int lp = -1;
-    for (std::size_t pc = 0; pc < n; ++pc) {
-      if (dep[pc] < 0) {
-        lp = -1;
-        continue;
-      }
-      if (lead[pc]) lp = static_cast<int>(pc);
-      if (lp < 0) return false;
-      bleader[pc] = lp;
-      blen[lp] = static_cast<int>(pc) - lp + 1;
-      Eff e;
-      EffectOf(program, callee.code[pc], e);
-      if (IsBlockEnder(e, callee.code[pc].op)) lp = -1;
-    }
     return true;
   }
 
-  std::int32_t SlotDisp(int d) const { return 8 * (fn.num_locals + d); }
-  void LoadSlot(Reg r, int d) {
-    if (r == RAX) {
-      if (rax_slot_ == d) return;
-      a.Load64(RAX, LOCALS, SlotDisp(d));
-      rax_slot_ = d;
-      rax_local_ = -1;
-      rax_global_ = -1;
+  bool Analyze() { return Depths(fn, m_.depth, false) && MapBlocks(fn, m_); }
+
+  // True when `callee` is a splice candidate: short, every reachable insn
+  // whitelisted (and not denied by the fuzzer's compile filter — those must
+  // keep their forced-deopt seam), terminals only kRet/kRetVoid.
+  bool PlanInline(const FunctionCode& callee, BlockMap& m) {
+    return callee.code.size() <= kInlineMaxInsns && Depths(callee, m.depth, true) &&
+           MapBlocks(callee, m);
+  }
+
+  // --- pinned locals ---------------------------------------------------------
+  //
+  // Locals referenced inside a loop (a pc range closed by a back edge) are
+  // ranked by their static reference count there; the top five get a
+  // register for the whole function. Straight-line functions pin nothing.
+  static int LocalsOf(const Insn& insn, int out[2]) {
+    switch (insn.op) {
+      case Op::kLoadLocal: case Op::kStoreLocal: case Op::kLoadAddI:
+        out[0] = static_cast<int>(insn.operand);
+        return 1;
+      case Op::kConstStore: case Op::kLoadConstI:
+        out[0] = static_cast<int>(ConstStoreSlot(insn.operand));
+        return 1;
+      case Op::kLoadGlobalLocal:
+        out[0] = static_cast<int>(SlotPairB(insn.operand));
+        return 1;
+      case Op::kLoadLocal2: case Op::kMoveLocal: case Op::kStoreLoad:
+        out[0] = static_cast<int>(SlotPairA(insn.operand));
+        out[1] = static_cast<int>(SlotPairB(insn.operand));
+        return 2;
+      default:
+        return 0;
+    }
+  }
+
+  void ChoosePins() {
+    const std::size_t n = fn.code.size();
+    pin_.assign(static_cast<std::size_t>(fn.num_locals), kNoReg);
+    std::vector<int> loop_edge(n + 1, 0);  // +1 at a loop head, -1 past its back edge
+    for (std::size_t pc = 0; pc < n; ++pc) {
+      Eff e;
+      if (m_.depth[pc] >= 0 && EffectOf(program, fn.code[pc], e) && e.branch && e.target <= pc) {
+        ++loop_edge[e.target];
+        --loop_edge[pc + 1];
+      }
+    }
+    std::vector<int> uses(pin_.size(), 0);
+    int open = 0;
+    for (std::size_t pc = 0; pc < n; ++pc) {
+      open += loop_edge[pc];
+      if (open <= 0 || m_.depth[pc] < 0) continue;
+      int locals[2];
+      const int k = LocalsOf(fn.code[pc], locals);
+      for (int i = 0; i < k; ++i) {
+        if (locals[i] >= 0 && locals[i] < fn.num_locals) ++uses[static_cast<std::size_t>(locals[i])];
+      }
+    }
+    std::vector<int> order;
+    for (int s = 0; s < fn.num_locals; ++s) {
+      if (uses[static_cast<std::size_t>(s)] >= 2) order.push_back(s);
+    }
+    std::stable_sort(order.begin(), order.end(), [&](int x, int y) {
+      return uses[static_cast<std::size_t>(x)] > uses[static_cast<std::size_t>(y)];
+    });
+    for (std::size_t i = 0; i < order.size() && i < std::size(kPinRegs); ++i) {
+      pin_[static_cast<std::size_t>(order[i])] = kPinRegs[i];
+      pinned_.push_back(order[i]);
+    }
+  }
+  Reg PinOf(int local) const { return pin_[static_cast<std::size_t>(local)]; }
+  void StorePins() {
+    for (const int s : pinned_) a.Store64(LOCALS, 8 * s, PinOf(s));
+  }
+  void LoadPins() {
+    for (const int s : pinned_) a.Load64(PinOf(s), LOCALS, 8 * s);
+  }
+
+  // --- scratch registers -----------------------------------------------------
+  static std::uint32_t Bit(Reg r) { return 1u << r; }
+  int AbsSlot(std::size_t d) const { return fn.num_locals + static_cast<int>(d); }
+  std::int32_t SlotDisp(std::size_t d) const { return 8 * AbsSlot(d); }
+
+  // A free scratch register. With none free, the deepest register-held vs_
+  // entry goes back to its slot (a plain store: flags survive).
+  Reg Alloc() {
+    for (const Reg r : kScratch) {
+      if (((busy_ | frozen_) & Bit(r)) == 0) {
+        busy_ |= Bit(r);
+        return r;
+      }
+    }
+    for (std::size_t d = 0; d < vs_.size(); ++d) {
+      if (vs_[d].kind == Val::kReg && (frozen_ & Bit(vs_[d].reg)) == 0) {
+        const Reg r = vs_[d].reg;
+        a.Store64(LOCALS, SlotDisp(d), r);
+        vs_[d] = Val::Slot(AbsSlot(d));
+        return r;  // stays busy: now the caller's
+      }
+    }
+    failed_ = true;  // the template itself holds every register
+    return RAX;
+  }
+  void Free(Reg r) { busy_ &= ~Bit(r); }
+  void Release(const Val& v) {
+    if (v.kind == Val::kReg) Free(v.reg);
+  }
+  // Claims one specific scratch register (division, shift counts). A vs_
+  // value in it moves elsewhere; templates claim before popping operands,
+  // so every holder is still on vs_.
+  void Take(Reg r) {
+    if ((busy_ & Bit(r)) == 0) {
+      busy_ |= Bit(r);
       return;
     }
-    if (rax_slot_ == d) {
-      a.MovRR(r, RAX);  // cached: reg-reg beats a load-port round trip
+    for (Val& v : vs_) {
+      if (v.kind == Val::kReg && v.reg == r) {
+        const Reg n = Alloc();
+        if (n != r) {  // n == r: Alloc spilled this very entry
+          a.MovRR(n, r);
+          v.reg = n;
+        }
+        return;
+      }
+    }
+    failed_ = true;
+  }
+
+  // Emits r <- v (64 bits). Only moves, setcc and movzx: flags survive, so
+  // this may run between a compare and its branch.
+  void Load(Reg r, const Val& v) {
+    switch (v.kind) {
+      case Val::kReg:
+        if (v.reg != r) a.MovRR(r, v.reg);
+        break;
+      case Val::kImm:
+        a.MovImmAuto(r, v.imm);
+        break;
+      case Val::kCond:
+        a.Setcc(v.cc, r);
+        a.MovzxR32R8(r, r);
+        break;
+      case Val::kLocal:
+        if (PinOf(v.slot) != kNoReg) {
+          if (PinOf(v.slot) != r) a.MovRR(r, PinOf(v.slot));
+          break;
+        }
+        a.Load64(r, LOCALS, 8 * v.slot);
+        break;
+      case Val::kSlot:
+        a.Load64(r, LOCALS, 8 * v.slot);
+        break;
+    }
+  }
+  // A register holding v for reading: its own or a pinned local's, else a
+  // fresh one (`temp` set: the caller frees it).
+  Reg ReadReg(const Val& v, bool& temp) {
+    temp = false;
+    if (v.kind == Val::kReg) return v.reg;
+    if (v.kind == Val::kLocal && PinOf(v.slot) != kNoReg) return PinOf(v.slot);
+    temp = true;
+    const Reg r = Alloc();
+    Load(r, v);
+    return r;
+  }
+  // A register the template may overwrite, holding in-flight operand i: the
+  // operand's own register (DoneOps keeps it when it becomes the result) or
+  // a fresh one.
+  Reg TakeOp(std::size_t i) {
+    if (in_flight_[i].kind == Val::kReg) return in_flight_[i].reg;
+    const Reg r = Alloc();
+    Load(r, in_flight_[i]);
+    return r;
+  }
+  void Push(const Val& v) { vs_.push_back(v); }
+  Val PopVal() {
+    const Val v = vs_.back();
+    vs_.pop_back();
+    return v;
+  }
+  void Pops(std::size_t n) {
+    in_flight_.assign(vs_.end() - static_cast<std::ptrdiff_t>(n), vs_.end());
+    vs_.resize(vs_.size() - n);
+  }
+  void DoneOps(Reg keep = kNoReg) {
+    for (const Val& v : in_flight_) {
+      if (v.kind == Val::kReg && v.reg != keep) Free(v.reg);
+    }
+    in_flight_.clear();
+  }
+
+  // 64-bit store of v to [base + disp].
+  void StoreVal(Reg base, std::int32_t disp, const Val& v) {
+    if (v.kind == Val::kImm && FitsI32(v.imm)) {
+      a.StoreImm32Sx(base, disp, static_cast<std::int32_t>(v.imm));
       return;
     }
-    a.Load64(r, LOCALS, SlotDisp(d));
+    bool temp;
+    const Reg r = ReadReg(v, temp);
+    a.Store64(base, disp, r);
+    if (temp) Free(r);
   }
-  // 32-bit consult: reuse rax when it caches the slot (32-bit ops read only
-  // eax, so the upper bits are irrelevant), else load the low word. A 32-bit
-  // load establishes no claim — the slot's upper bits may differ from rax's
-  // zero extension.
-  void LoadSlot32(int d) {
-    if (rax_slot_ == d) return;
-    a.Load32(RAX, LOCALS, SlotDisp(d));
-    KillRax();
+  void FlushOne(std::size_t d) {
+    const Val v = vs_[d];
+    if (v.kind == Val::kSlot) return;
+    StoreVal(LOCALS, SlotDisp(d), v);
+    Release(v);
+    vs_[d] = Val::Slot(AbsSlot(d));
   }
-  void StoreSlot(int d, Reg r) {
-    a.Store64(LOCALS, SlotDisp(d), r);
-    if (r == RAX) {
-      // Re-establish only the slot claim: this is the self-correcting close
-      // for templates that clobbered rax, so older claims may be stale.
-      rax_slot_ = d;
-      rax_local_ = -1;
-      rax_global_ = -1;
+  // Block end: every value to its interpreter slot. Moves only — flags
+  // survive for a following jcc.
+  void Flush() {
+    for (std::size_t d = 0; d < vs_.size(); ++d) {
+      if (!Kept(d)) FlushOne(d);
+    }
+  }
+  bool Kept(std::size_t d) const { return d < keep_.size() && keep_[d].kind != Val::kSlot; }
+  // Block entry at a join (or unreachable code): all values in memory but
+  // a splice's kept values, which hold on every path.
+  void ResetState(int n) {
+    for (int d = 0; d < n; ++d) {
+      const auto ud = static_cast<std::size_t>(d);
+      const Val v = Kept(ud) ? keep_[ud] : Val::Slot(AbsSlot(ud));
+      if (ud < vs_.size()) {
+        vs_[ud] = v;
+      } else {
+        vs_.push_back(v);
+      }
+    }
+    vs_.resize(static_cast<std::size_t>(n));
+    in_flight_.clear();
+    busy_ = frozen_;
+  }
+
+  // --- locals and globals ----------------------------------------------------
+  // A caller local reads as an alias (no code); a spliced callee's local is
+  // an operand slot of the caller, so reading it copies that entry.
+  Val ReadLocal(std::int64_t s) {
+    if (inl_fn_ == nullptr) return Val::Local(static_cast<int>(s));
+    return Copy(static_cast<std::size_t>(inl_local_base_ + s));
+  }
+  // A second value equal to vs_[d]: constants and aliases are shared,
+  // registers and slots copied into a fresh register.
+  Val Copy(std::size_t d) {
+    if (vs_[d].kind != Val::kReg && vs_[d].kind != Val::kSlot) return vs_[d];
+    const Reg r = Alloc();
+    Load(r, vs_[d]);  // after Alloc: it may have spilled this very entry
+    return Val::InReg(r);
+  }
+  // Takes ownership of v.
+  void WriteLocal(std::int64_t s, Val v) {
+    if (inl_fn_ != nullptr) {
+      const std::size_t d = static_cast<std::size_t>(inl_local_base_ + s);
+      if (v.kind == Val::kSlot || v.kind == Val::kCond) {  // a dying slot / the flags
+        const Reg r = Alloc();
+        Load(r, v);
+        v = Val::InReg(r);
+      }
+      Release(vs_[d]);
+      vs_[d] = v;
+      return;
+    }
+    const int slot = static_cast<int>(s);
+    for (std::size_t d = 0; d < vs_.size(); ++d) {  // aliases keep the old value
+      if (vs_[d].kind == Val::kLocal && vs_[d].slot == slot) FlushOne(d);
+    }
+    if (PinOf(slot) != kNoReg) {
+      Load(PinOf(slot), v);
     } else {
-      KillSlot(d);
+      StoreVal(LOCALS, 8 * slot, v);
     }
+    Release(v);
   }
-  void LoadLocalSlot(Reg r, std::int64_t s) {
-    if (inl_local_base_ >= 0) {  // spliced callee: locals are caller slots
-      LoadSlot(r, inl_local_base_ + static_cast<int>(s));
-      return;
-    }
-    if (r == RAX) {
-      if (rax_local_ == s) return;
-      a.Load64(RAX, LOCALS, static_cast<std::int32_t>(8 * s));
-      rax_local_ = s;
-      rax_slot_ = -1;
-      rax_global_ = -1;
-      return;
-    }
-    if (rax_local_ == s) {
-      a.MovRR(r, RAX);
-      return;
-    }
-    a.Load64(r, LOCALS, static_cast<std::int32_t>(8 * s));
-  }
-  // Every caller keeps rax fresh between its load and this store, so an rax
-  // store extends the claim to the local; other registers invalidate it.
-  void StoreLocalSlot(std::int64_t s, Reg r) {
-    if (inl_local_base_ >= 0) {
-      StoreSlot(inl_local_base_ + static_cast<int>(s), r);
-      return;
-    }
-    a.Store64(LOCALS, static_cast<std::int32_t>(8 * s), r);
-    if (r == RAX) {
-      rax_local_ = s;
-    } else {
-      KillLocal(s);
-    }
-  }
-  // Globals live in their own array (GLB base), disjoint from locals and the
-  // operand stack, and only kStoreGlobal writes them from jit code — calls
-  // and hosts that might write them end blocks, and leaders start cold.
-  void LoadGlobalSlot(Reg r, std::int64_t g) {
-    if (r == RAX) {
-      if (rax_global_ == g) return;
-      a.Load64(RAX, GLB, static_cast<std::int32_t>(8 * g));
-      rax_global_ = g;
-      rax_slot_ = -1;
-      rax_local_ = -1;
-      return;
-    }
-    if (rax_global_ == g) {
-      a.MovRR(r, RAX);
-      return;
-    }
+  Val ReadGlobal(std::int64_t g) {
+    const Reg r = Alloc();
     a.Load64(r, GLB, static_cast<std::int32_t>(8 * g));
-  }
-  // Callers keep rax fresh between their load and this store (same contract
-  // as StoreLocalSlot), so an rax store extends the claim to the global.
-  void StoreGlobalSlot(std::int64_t g, Reg r) {
-    a.Store64(GLB, static_cast<std::int32_t>(8 * g), r);
-    if (r == RAX) {
-      rax_global_ = g;
-    } else {
-      KillGlobal(g);
-    }
+    return Val::InReg(r);
   }
 
   // --- side exits ----------------------------------------------------------
   // Every exit funnels through here so splice-mode exits pick up the frame
   // to materialize; pc and depth are callee-relative while inl_fn_ is set.
-  void PushExit(std::size_t at, std::size_t pc, int d, std::int64_t give,
-                bool reexec, std::int64_t fuel_give) {
-    exits.push_back({at, static_cast<std::uint32_t>(pc), d, give, reexec,
-                     fuel_give, inl_fn_, inl_kk_, inl_ret_pc_});
+  // A re-executing exit snapshots the deopt map: the pre-instruction stack
+  // is vs_ plus the operands the template has popped.
+  void PushExit(std::size_t at, std::size_t pc, int d, bool reexec, std::int64_t give) {
+    Exit e{at, static_cast<std::uint32_t>(pc), d, reexec, give, inl_fn_, inl_kk_,
+           inl_ret_pc_, cur_pc_, {}};
+    if (reexec) {
+      const int bias = inl_fn_ != nullptr ? inl_op_bias_ : 0;
+      if (vs_.size() + in_flight_.size() != static_cast<std::size_t>(bias + d)) failed_ = true;
+      for (std::size_t i = 0; i < vs_.size() + in_flight_.size(); ++i) {
+        const Val& v = i < vs_.size() ? vs_[i] : in_flight_[i - vs_.size()];
+        if (v.kind == Val::kCond) failed_ = true;  // flags never outlive their insn
+        if (v.kind != Val::kSlot) e.map.emplace_back(static_cast<int>(i), v);
+      }
+    }
+    exits.push_back(std::move(e));
   }
+  const BlockMap& Map() const { return inl_fn_ != nullptr ? inl_ : m_; }
   void AddExit(std::size_t at, std::size_t pc, bool reexec) {
-    const bool inl = inl_fn_ != nullptr;
-    const int lp = inl ? inl_blk_leader_[pc] : blk_leader[pc];
+    const BlockMap& m = Map();
+    const int lp = m.blk_leader[pc];
     const std::int64_t e = static_cast<std::int64_t>(pc) - lp;
-    const std::int64_t len = inl ? inl_blk_len_[lp] : blk_len[lp];
-    const std::int64_t give = reexec ? len - e : len - e - 1;
-    PushExit(at, pc, inl ? inl_depth_[pc] : depth[pc], give, reexec, give);
+    const std::int64_t run = m.run[static_cast<std::size_t>(lp)];
+    const std::int64_t give = reexec ? run - e : run - e - 1;
+    PushExit(at, pc, m.depth[pc], reexec, give);
   }
   // Conditional/unconditional jumps into a deopt-and-reexecute stub: the
   // interpreter resumes at `pc` and re-runs the faulting instruction, so the
@@ -876,11 +1170,11 @@ struct Compiler {
   // While splicing, branch targets are callee pcs resolved against the
   // splice's own offset table (a target equal to the callee length means
   // "after the splice" — where kRet lands).
-  void JmpPc(std::size_t target) {
-    (inl_fn_ != nullptr ? inl_fixes_ : fixes).push_back({a.Jmp(), target});
+  void JmpPc(std::size_t to) {
+    (inl_fn_ != nullptr ? inl_fixes_ : fixes).push_back({a.Jmp(), to});
   }
-  void JccPc(Cc cc, std::size_t target) {
-    (inl_fn_ != nullptr ? inl_fixes_ : fixes).push_back({a.Jcc(cc), target});
+  void JccPc(Cc cc, std::size_t to) {
+    (inl_fn_ != nullptr ? inl_fixes_ : fixes).push_back({a.Jcc(cc), to});
   }
 
   // Commits sp_ = frame->base + num_locals + d into the ctx mailbox.
@@ -900,101 +1194,72 @@ struct Compiler {
     a.CallR(RAX);
   }
 
-  // --- analysis ------------------------------------------------------------
-  bool Propagate(std::size_t pc, int d, std::vector<std::size_t>& work) {
-    if (pc >= fn.code.size()) return false;
-    if (depth[pc] == -1) {
-      depth[pc] = d;
-      work.push_back(pc);
-      return true;
-    }
-    return depth[pc] == d;
-  }
-
-  bool Analyze() {
-    const auto& code = fn.code;
-    const std::size_t n = code.size();
-    if (n == 0) return false;
-    depth.assign(n, -1);
-    leader.assign(n, 0);
-    std::vector<std::size_t> work;
-    depth[0] = 0;
-    work.push_back(0);
-    while (!work.empty()) {
-      const std::size_t pc = work.back();
-      work.pop_back();
-      Eff e;
-      if (!EffectOf(program, code[pc], e)) return false;
-      const int d = depth[pc];
-      if (d < e.pops) return false;
-      const int d2 = d - e.pops + e.pushes;
-      if (d2 > fn.max_stack || d2 > kMaxStack) return false;
-      if (e.branch && !Propagate(e.target, d - e.pops, work)) return false;
-      if (!e.terminal && !Propagate(pc + 1, d2, work)) return false;
-    }
-    // Leaders: entry, branch targets, and the instruction after any ender.
-    leader[0] = 1;
-    for (std::size_t pc = 0; pc < n; ++pc) {
-      if (depth[pc] < 0) continue;
-      Eff e;
-      EffectOf(program, code[pc], e);
-      if (IsBlockEnder(e, code[pc].op)) {
-        if (pc + 1 < n) leader[pc + 1] = 1;
-      }
-      if (e.branch) leader[e.target] = 1;
-    }
-    // Blocks: from each leader to its first ender (or the next leader, when
-    // control falls through into one).
-    blk_leader.assign(n, -1);
-    blk_len.assign(n, 0);
-    int lp = -1;
-    for (std::size_t pc = 0; pc < n; ++pc) {
-      if (depth[pc] < 0) {
-        lp = -1;
-        continue;
-      }
-      if (leader[pc]) lp = static_cast<int>(pc);
-      if (lp < 0) return false;  // reachable code without a leader: impossible
-      blk_leader[pc] = lp;
-      blk_len[lp] = static_cast<int>(pc) - lp + 1;
-      Eff e;
-      EffectOf(program, code[pc], e);
-      if (IsBlockEnder(e, code[pc].op)) lp = -1;
-    }
-    return true;
-  }
-
-  // One fuel/retired charge per block, against the fuel register: subtract
-  // the block length and deopt to the block's first instruction if it went
-  // negative (the stub gives the charge back) — the interpreter then meters
-  // out the tail insn by insn and throws "fuel exhausted" at the exact
-  // instruction an interpreted run would. Unlimited runs carry the bias
-  // constant, which no real program can exhaust.
+  // Fuel, against the fuel register, charged ahead. A check leader
+  // compares fuel against the longest run to the next check leader and
+  // deopts there, uncharged, if it could run out on the way — the
+  // interpreter then meters insn by insn and throws "fuel exhausted" at the
+  // exact instruction an interpreted run would, or finishes if the path
+  // taken was shorter. Otherwise it charges that whole run at once. The
+  // invariant: at the start of any block, r15 = exact fuel - run[block];
+  // an edge to a successor with a shorter run gives the difference back
+  // (Slack), and an exit gives back the run not executed. Calls and
+  // returns end blocks whose run is their own length, so r15 is exact
+  // wherever the ledgers are published. Unlimited runs carry the bias
+  // constant, which no real program can exhaust. The retired ledger needs
+  // no instruction of its own: it is derived from the same register.
   void EmitBlockAccounting(std::size_t lp) {
-    const bool inl = inl_fn_ != nullptr;
-    const std::int32_t len = inl ? inl_blk_len_[lp] : blk_len[lp];
-    a.AluImm(ALU_SUB, FUEL, len);
-    PushExit(a.Jcc(CC_S), lp, inl ? inl_depth_[lp] : depth[lp], 0, true, len);
-    a.AluMemImm(ALU_ADD, CTX, L.ctx_retired, len);
+    const BlockMap& m = Map();
+    if (!m.check[lp]) return;
+    a.AluImm(ALU_CMP, FUEL, m.run[lp]);
+    PushExit(a.Jcc(CC_L), lp, m.depth[lp], true, 0);
+    a.AluImm(ALU_SUB, FUEL, m.run[lp]);
+  }
+  // The fuel given back on the edge from `from`'s block to leader `to`.
+  std::int32_t Slack(std::size_t from, std::size_t to) const {
+    const BlockMap& m = Map();
+    const auto lp = static_cast<std::size_t>(m.blk_leader[from]);
+    const int next = to < m.run.size() && !m.check[to] ? m.run[to] : 0;
+    return m.run[lp] - m.blk_len[lp] - next;
+  }
+  void GiveFuel(std::int32_t n) {  // lea: the flags of a pending jcc survive
+    if (n != 0) a.Lea(FUEL, FUEL, n);
   }
 
-  // ctx->fuel <- r15 unless unlimited (the stored sentinel stays negative).
-  // Clobbers rax and flags.
+  // The retired ledger lives in r15 too: fuel and retired move in lockstep
+  // (every charge and every give-back touches both by the same amount), so
+  // the prologue parks base = ctx->retired + r15 in the frame's spare [rsp]
+  // slot and retired = base - r15 anywhere. Published at the epilogue and
+  // before calls; re-based after, since a callee or host moved both.
+  void EmitRetiredPublish() {  // clobbers rcx and flags
+    a.Load64(RCX, RSP, 0);
+    a.SubRR(RCX, FUEL);
+    a.Store64(CTX, L.ctx_retired, RCX);
+  }
+  void EmitRetiredRebase() {  // clobbers rcx and flags
+    a.Load64(RCX, CTX, L.ctx_retired);
+    a.AddRR(RCX, FUEL);
+    a.Store64(RSP, 0, RCX);
+  }
+  // ctx->fuel <- r15 unless unlimited (the stored sentinel stays negative),
+  // ctx->retired <- its derived value. Clobbers rax, rcx and flags.
   void EmitFuelSync() {
+    EmitRetiredPublish();
     a.Load64(RAX, CTX, L.ctx_fuel);
     a.TestRR(RAX, RAX);
     const std::size_t unlimited = a.Jcc8(CC_S);
     a.Store64(CTX, L.ctx_fuel, FUEL);
     a.PatchRel8(unlimited, a.pos());
   }
-  // r15 <- ctx->fuel, biased when unlimited. Touches only r15 and flags, so
-  // call sites may run it before testing a helper's status register.
+  // r15 <- ctx->fuel (biased when unlimited), then re-base the ledger.
+  // Touches only r15, rcx and flags, so call sites may run it before
+  // testing a helper's status (eax) and result (rdx).
   void EmitFuelReload() {
     a.Load64(FUEL, CTX, L.ctx_fuel);
     a.TestRR(FUEL, FUEL);
     const std::size_t limited = a.Jcc8(CC_NS);
     a.MovImm64(FUEL, kFuelUnlimitedBias);
     a.PatchRel8(limited, a.pos());
+    EmitRetiredRebase();
   }
 
   void EmitPrologue() {
@@ -1004,29 +1269,68 @@ struct Compiler {
     a.Push(R13);
     a.Push(R14);
     a.Push(R15);
-    a.AluImm(ALU_SUB, RSP, 8);  // keep rsp 16-aligned at helper calls
+    a.AluImm(ALU_SUB, RSP, 24);  // ledger base, splice flag; keeps rsp 16-aligned at calls
     a.MovRR(CTX, RDI);
-    a.Load64(STK, CTX, L.ctx_stack);
     a.Load64(GLB, CTX, L.ctx_globals);
     a.Load64(RAX, CTX, L.ctx_nframes);
     a.ImulImm(RAX, RAX, F.size);
     a.AddRM(RAX, CTX, L.ctx_frames);
     a.Lea(FRM, RAX, -F.size);  // rbp = &frames[nframes - 1]
     a.Load64(RAX, FRM, F.base);
-    a.LeaSib(LOCALS, STK, RAX, 3, 0);  // r13 = stack + 8*frame->base
+    a.Load64(RCX, CTX, L.ctx_stack);
+    a.LeaSib(LOCALS, RCX, RAX, 3, 0);  // r13 = stack + 8*frame->base
     EmitFuelReload();
+    LoadPins();
+    if (std::any_of(fn.code.begin(), fn.code.end(),
+                    [](const Insn& i) { return i.op == Op::kCall; })) {
+      EmitSpliceFlag();
+    }
+  }
+
+  // A spliced call writes no frame, but the interpreter's PushFrame checks
+  // (depth limit, reentry slack, stack room) must still hold. Their inputs
+  // — nframes and frame->base — are fixed for the whole activation, so the
+  // prologue evaluates them once against the tightest stack limit of any
+  // splice site (patched in once every site is known) and parks the verdict
+  // at [rsp+8]; each site tests it and re-executes its kCall in the
+  // interpreter when it is clear, which traps exactly or, for a site with
+  // a looser limit, simply performs the call.
+  std::size_t splice_limit_at_ = 0;
+  std::int64_t splice_limit_ = INT32_MAX;
+  void EmitSpliceFlag() {
+    a.Load64(RCX, CTX, L.ctx_nframes);
+    a.MovRR(RAX, RCX);
+    a.SubRM(RAX, CTX, L.ctx_entry_frames);
+    a.AluImm(ALU_CMP, RAX, static_cast<std::int32_t>(std::min<std::size_t>(opts.max_call_depth, INT32_MAX)));
+    const std::size_t deep = a.Jcc8(CC_AE);
+    a.AluImm(ALU_CMP, RCX, static_cast<std::int32_t>(std::min<std::size_t>(frame_capacity, INT32_MAX)));
+    const std::size_t full = a.Jcc8(CC_E);
+    a.Load64(RAX, FRM, F.base);
+    a.U8(0x48);  // cmp rax, imm32 (long form, patched by PatchSpliceLimit)
+    a.U8(0x3D);
+    splice_limit_at_ = a.pos();
+    a.U32(0);
+    const std::size_t high = a.Jcc8(CC_A);
+    a.StoreImm32Sx(RSP, 8, 1);
+    const std::size_t done = a.Jmp8();
+    a.PatchRel8(deep, a.pos());
+    a.PatchRel8(full, a.pos());
+    a.PatchRel8(high, a.pos());
+    a.StoreImm32Sx(RSP, 8, 0);
+    a.PatchRel8(done, a.pos());
   }
 
   void EmitEpilogue() {
     epilogue_off = a.pos();
-    // Every exit funnels through here, so one fuel sync covers them all.
+    // Every exit funnels through here, so one ledger sync covers them all.
     // rcx is dead on all paths; rax carries the exit status and is preserved.
+    EmitRetiredPublish();
     a.Load64(RCX, CTX, L.ctx_fuel);
     a.TestRR(RCX, RCX);
     const std::size_t unlimited = a.Jcc8(CC_S);
     a.Store64(CTX, L.ctx_fuel, FUEL);
     a.PatchRel8(unlimited, a.pos());
-    a.AluImm(ALU_ADD, RSP, 8);
+    a.AluImm(ALU_ADD, RSP, 24);
     a.Pop(R15);
     a.Pop(R14);
     a.Pop(R13);
@@ -1039,6 +1343,20 @@ struct Compiler {
   void EmitStubs() {
     for (const Exit& e : exits) {
       a.PatchRel32(e.at, a.pos());
+      pc_map.emplace_back(static_cast<std::uint32_t>(a.pos()), e.caller_pc);
+      if (e.reexec) {
+        // The deopt map: registers first (rax may hold one), then the
+        // pinned locals, then constants and local aliases through rax.
+        for (const auto& [d, v] : e.map) {
+          if (v.kind == Val::kReg) a.Store64(LOCALS, SlotDisp(static_cast<std::size_t>(d)), v.reg);
+        }
+        StorePins();
+        for (const auto& [d, v] : e.map) {
+          if (v.kind == Val::kReg) continue;
+          Load(RAX, v);
+          a.Store64(LOCALS, SlotDisp(static_cast<std::size_t>(d)), RAX);
+        }
+      }
       if (e.reexec && e.inl_callee != nullptr) {
         // The exit fired inside a spliced callee whose frame was never
         // pushed. Materialize it now — fn/pc/base at frames[nframes], the
@@ -1065,12 +1383,9 @@ struct Compiler {
         SetFramePc(e.pc);
       }
       if (e.give > 0) {
-        a.AluMemImm(ALU_SUB, CTX, L.ctx_retired, static_cast<std::int32_t>(e.give));
-      }
-      if (e.fuel_give > 0) {
         // Adding to the biased constant is harmless on unlimited runs; the
         // epilogue sync drops the register either way.
-        a.AluImm(ALU_ADD, FUEL, static_cast<std::int32_t>(e.fuel_give));
+        a.AluImm(ALU_ADD, FUEL, static_cast<std::int32_t>(e.give));
       }
       if (e.reexec) a.MovImm32(RAX, kJitDeopt);
       epi_fixes.push_back(a.Jmp());
@@ -1078,34 +1393,44 @@ struct Compiler {
   }
 
   bool EmitInsn(std::size_t pc);  // jit_emit_x64.inc
-  // Set by EmitInsn when it fused the following instruction(s) into one
-  // template (compare+branch peepholes); Compile skips that many insns.
-  // Fused-over insns are never block leaders, so they are never branch
-  // targets and never need a pc_off entry.
-  std::size_t fused_extra_ = 0;
+  bool EmitSplice(std::size_t pc, const FunctionCode& callee, BlockMap plan);  // jit_emit_x64.inc
+
+  // Block entry bookkeeping shared by the function body and splices: a
+  // join starts from memory (predecessors disagree on where values are), a
+  // fall-through-only leader keeps the state it inherits.
+  void EnterPc(bool is_leader, bool is_target, int d) {
+    if (is_leader && is_target) {
+      if (falls_) Flush();
+      ResetState(d);
+    } else if (!falls_) {
+      ResetState(d);  // unreachable by fall-through: any consistent state
+    }
+    falls_ = true;
+  }
 
   bool Compile() {
     if (!Analyze()) return false;
+    ChoosePins();
     const std::size_t n = fn.code.size();
     pc_off.assign(n, -1);
+    pc_map.emplace_back(0, 0);
     EmitPrologue();
     for (std::size_t pc = 0; pc < n; ++pc) {
-      if (depth[pc] < 0) continue;
+      if (m_.depth[pc] < 0) continue;
+      if (m_.leader[pc] && falls_ && pc > 0) GiveFuel(Slack(cur_pc_, pc));
+      cur_pc_ = static_cast<std::uint32_t>(pc);
+      EnterPc(m_.leader[pc], m_.target[pc], m_.depth[pc]);
       pc_off[pc] = static_cast<std::int64_t>(a.pos());
-      if (leader[pc]) {
-        KillRax();  // predecessors left rax in unknown states
-        EmitBlockAccounting(pc);
-      }
+      pc_map.emplace_back(static_cast<std::uint32_t>(a.pos()), cur_pc_);
+      if (m_.leader[pc]) EmitBlockAccounting(pc);
       if (opts.jit_compile_filter && !opts.jit_compile_filter(fn.code[pc].op)) {
         // Filter-denied op (the fuzzer's forced-deopt mode): hand the rest
         // of this function to the interpreter right here.
         JmpExit(pc);
-        KillRax();
+        falls_ = false;
         continue;
       }
-      if (!EmitInsn(pc)) return false;
-      pc += fused_extra_;
-      fused_extra_ = 0;
+      if (!EmitInsn(pc) || failed_) return false;
     }
     EmitEpilogue();
     EmitStubs();
@@ -1116,7 +1441,8 @@ struct Compiler {
     for (const std::size_t at : epi_fixes) {
       a.PatchRel32(at, epilogue_off);
     }
-    return true;
+    if (splice_limit_at_ != 0) a.PatchU32(splice_limit_at_, static_cast<std::uint32_t>(splice_limit_));
+    return !failed_;
   }
 };
 
@@ -1174,6 +1500,7 @@ struct Jit::Impl {
     struct Unit {
       int fn;
       std::vector<std::uint8_t> code;
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> pcs;
     };
     std::vector<Unit> units;
     for (const int fi : CompilationOrder(program, opts.jit_pair_profile)) {
@@ -1204,7 +1531,7 @@ struct Jit::Impl {
         continue;
       }
       total += sz;
-      units.push_back({fi, std::move(c.a.code)});
+      units.push_back({fi, std::move(c.a.code), std::move(c.pc_map)});
     }
     if (units.empty()) {
       return nullptr;
@@ -1222,8 +1549,10 @@ struct Jit::Impl {
       jit->entries_[i] = base;  // trampoline until proven compiled
     }
     std::size_t off = align16(tramp.code.size());
-    for (const Unit& u : units) {
+    for (Unit& u : units) {
       std::memcpy(base + off, u.code.data(), u.code.size());
+      jit->units_.push_back({reinterpret_cast<std::uintptr_t>(base + off), u.code.size(), u.fn,
+                             std::move(u.pcs)});
       jit->entries_[static_cast<std::size_t>(u.fn)] = base + off;
       jit->compiled_[static_cast<std::size_t>(u.fn)] = true;
       ++jit->stats_.compiled_fns;
@@ -1231,8 +1560,17 @@ struct Jit::Impl {
       off += align16(u.code.size());
     }
     // Debugging seam: GRAFTLAB_JIT_DUMP=<path-prefix> writes each unit as a
-    // raw code blob (objdump -D -b binary -m i386:x86-64 disassembles it).
+    // raw code blob (objdump -D -b binary -m i386:x86-64 disassembles it)
+    // and appends perf-map lines to <path-prefix>.map — with the prefix
+    // /tmp/perf-<pid>, perf report names jitted code minnow:<function>.
     if (const char* dump = std::getenv("GRAFTLAB_JIT_DUMP")) {
+      if (std::FILE* map = std::fopen((std::string(dump) + ".map").c_str(), "a")) {
+        for (const UnitMap& u : jit->units_) {
+          std::fprintf(map, "%lx %zx minnow:%s\n", static_cast<unsigned long>(u.start), u.size,
+                       program.functions[static_cast<std::size_t>(u.fn)].name.c_str());
+        }
+        std::fclose(map);
+      }
       std::size_t doff = align16(tramp.code.size());
       for (const Unit& u : units) {
         const std::string path =
@@ -1351,6 +1689,21 @@ Jit::~Jit() {
   }
 }
 
+JitLocation Jit::Resolve(const void* native_pc) const {
+  const auto at = reinterpret_cast<std::uintptr_t>(native_pc);
+  const auto unit = std::upper_bound(
+      units_.begin(), units_.end(), at,
+      [](std::uintptr_t x, const UnitMap& u) { return x < u.start; });
+  if (unit == units_.begin()) return {};
+  const UnitMap& u = *(unit - 1);
+  if (at >= u.start + u.size) return {};
+  const auto off = static_cast<std::uint32_t>(at - u.start);
+  const auto entry = std::upper_bound(
+      u.pcs.begin(), u.pcs.end(), off,
+      [](std::uint32_t x, const std::pair<std::uint32_t, std::uint32_t>& e) { return x < e.first; });
+  return {u.fn, entry == u.pcs.begin() ? 0 : (entry - 1)->second};
+}
+
 std::uint32_t Jit::Enter(JitCtx& ctx, int fn_index) const {
   using NativeFn = std::uint32_t (*)(JitCtx*);
   const void* entry = entries_[static_cast<std::size_t>(fn_index)];
@@ -1371,6 +1724,8 @@ std::unique_ptr<Jit> Jit::Compile(VM&) { return nullptr; }
 Jit::~Jit() = default;
 
 std::uint32_t Jit::Enter(JitCtx&, int) const { return kJitDeopt; }
+
+JitLocation Jit::Resolve(const void*) const { return {}; }
 
 Jit::HelperResult Jit::HelpNewStruct(JitCtx*, std::uint64_t) { return {kJitDeopt, 0}; }
 Jit::HelperResult Jit::HelpNewArray(JitCtx*, std::uint64_t, std::uint64_t) {

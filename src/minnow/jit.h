@@ -7,34 +7,40 @@
 // instruction runs, so at no point is memory both writable and executable.
 //
 // Per-opcode templates reproduce the exact semantics of vm_dispatch.inc.
-// The operand stack keeps the interpreter's memory layout (locals, then
-// operands above frame->base), but every slot address is static: the
-// verifier proves a unique operand depth per pc, so operand i of a function
-// with L locals lives at [locals_base + 8*(L+i)] — no stack-pointer register
-// exists in compiled code at all. Safety checks are inlined (null,
-// array-kind, bounds, divide); at sites the elision certificate proved safe
-// the `.nc` opcode forms are emitted natively with no check instructions.
+// Every slot keeps a static address — the verifier proves a unique operand
+// depth per pc, so operand d of a function with L locals lives at
+// [locals_base + 8*(L+d)] and no stack-pointer register exists in compiled
+// code — but values reach those slots lazily. Within a basic block the
+// compiler tracks where each operand lives (register, immediate, local
+// alias, flags) and the hottest locals of a loop live in registers for the
+// whole function; slots are written at block ends, before helper and
+// native calls, and by exit stubs. Safety checks are inlined (null,
+// element kind, bounds, divide); at sites the elision certificate proved
+// safe the `.nc` opcode forms are emitted natively with no check
+// instructions.
 //
-// Fuel and the retired-instruction ledger are batched per basic block: one
-// compare-and-subtract charges the whole straight-line run. Every side exit
-// carries a static correction so the ledgers an observer can read (fuel(),
-// instructions_retired()) are bit-identical to an interpreted run.
+// Fuel is charged ahead per region: one compare at each loop head, call
+// return, and entry covers the longest run to the next such point, and
+// the retired-instruction ledger is derived from the same register. Edges
+// and side exits carry static corrections so the ledgers an observer can
+// read (fuel(), instructions_retired()) are bit-identical to an
+// interpreted run.
 //
 // Deoptimization is the safety net. Any condition the native code does not
 // handle — a trap check firing, fuel too low for the next block, an opcode
 // the compile filter denied, a callee that failed to compile — side-exits
-// through a stub that reconstructs the interpreter frame (sp_ committed from
-// the static depth, frame->pc set to the faulting instruction, ledgers
-// corrected) and unwinds the whole native call chain back to the runner,
-// which resumes the interpreter on the same frame stack. Because operand
-// slots ARE the interpreter's stack slots, there is no shadow state to
-// materialize: deopt at any pc is a store, a store, and a return. Trapping
-// instructions are re-executed by the interpreter so the trap message, the
-// unwind path, and the ledgers come from the same code an interpreted run
-// uses. Host calls and allocations run through helpers that commit VM state
-// first; exceptions a helper observes are captured and rethrown from the
-// runner (native frames carry no unwind tables, so C++ exceptions must
-// never cross them).
+// through a stub that first writes back its own deopt map (every value the
+// frame memory lacks at that point), then reconstructs the interpreter
+// frame (sp_ committed from the static depth, frame->pc set to the faulting
+// instruction, ledgers corrected) and unwinds the whole native call chain
+// back to the runner, which resumes the interpreter on the same frame
+// stack — byte-identical to the frame an interpreted run would have there.
+// Trapping instructions are re-executed by the interpreter so the trap
+// message, the unwind path, and the ledgers come from the same code an
+// interpreted run uses. Host calls and allocations run through helpers that
+// commit VM state first; exceptions a helper observes are captured and
+// rethrown from the runner (native frames carry no unwind tables, so C++
+// exceptions must never cross them).
 //
 // Portability: x86-64 SysV only, behind the GRAFTLAB_JIT CMake option. Other
 // targets (and GRAFTLAB_JIT=OFF builds) compile this header and jit.cc but
@@ -63,6 +69,14 @@ struct JitStats {
   std::uint64_t bytes = 0;         // native bytes emitted into the arena
   std::uint64_t deopts = 0;        // runtime side exits to the interpreter
   std::uint64_t bailouts = 0;      // functions that stayed interpreted
+};
+
+// Where a native PC inside the code arena came from: the compiled function
+// and the bytecode instruction its code was emitted for (code spliced from
+// a callee resolves to the caller's kCall). fn == -1 outside compiled code.
+struct JitLocation {
+  int fn = -1;
+  std::size_t pc = 0;
 };
 
 // Status codes native code returns to the runner (and between compiled
@@ -129,6 +143,10 @@ class Jit {
   // above; `ctx` must already mirror the VM.
   std::uint32_t Enter(JitCtx& ctx, int fn_index) const;
 
+  // Maps a native PC (a profiler sample, a fault address) back to bytecode.
+  // Safe from a signal handler: no allocation, no locks.
+  JitLocation Resolve(const void* native_pc) const;
+
   const JitStats& stats() const { return stats_; }
   void CountDeopt() { ++stats_.deopts; }
 
@@ -148,6 +166,15 @@ class Jit {
 
   struct Impl;
 
+  // Per compiled function, in arena order: its native extent and the
+  // native-offset -> bytecode-pc table the compiler recorded (ascending).
+  struct UnitMap {
+    std::uintptr_t start;
+    std::size_t size;
+    int fn;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> pcs;
+  };
+  std::vector<UnitMap> units_;
   std::vector<bool> compiled_;
   // Per-function native entry (or the shared deopt trampoline). kCall sites
   // load through this table, so compilation order never matters.

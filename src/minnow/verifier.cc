@@ -394,22 +394,21 @@ VerifyReport VerifyFunction(const Program& program, FunctionCode& fn, int fn_ind
 
 }  // namespace
 
-VerifyReport VerifyProgram(Program& program) {
-  // Unchecked opcodes are only legal under a matching elision certificate:
-  // the proof that made them safe is bound to this exact opcode stream.
-  bool has_unchecked = false;
+bool HasUncheckedOps(const Program& program) {
   for (const auto& fn : program.functions) {
     for (const Insn& insn : fn.code) {
       if (IsUncheckedOp(insn.op)) {
-        has_unchecked = true;
-        break;
+        return true;
       }
     }
-    if (has_unchecked) {
-      break;
-    }
   }
-  if (has_unchecked && !ElisionCertificateValid(program)) {
+  return false;
+}
+
+VerifyReport VerifyProgram(Program& program) {
+  // Unchecked opcodes are only legal under a matching elision certificate:
+  // the proof that made them safe is bound to this exact opcode stream.
+  if (HasUncheckedOps(program) && !ElisionCertificateValid(program)) {
     VerifyReport report;
     report.ok = false;
     report.message = program.elision.attached

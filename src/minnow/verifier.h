@@ -36,6 +36,10 @@ struct VerifyReport {
   std::size_t pc = 0;  // offending instruction when !ok
 };
 
+// True when any function carries an unchecked (`.nc`, `div.nz`) opcode —
+// code that is only legal under a matching elision certificate.
+bool HasUncheckedOps(const Program& program);
+
 // Verifies every function and fills in FunctionCode::max_stack.
 VerifyReport VerifyProgram(Program& program);
 

@@ -7,6 +7,7 @@
 
 #include "src/minnow/elide.h"
 #include "src/minnow/jit.h"
+#include "src/minnow/verifier.h"
 
 // The computed-goto dispatcher needs GNU labels-as-values; the CMake option
 // GRAFTLAB_THREADED_DISPATCH (on by default) injects the macro, and the
@@ -83,6 +84,11 @@ VM::VM(Program program, const VmOptions& options)
     // A stamped program whose code no longer matches its proof is refused
     // outright — running it would execute unchecked accesses unproven.
     throw std::invalid_argument("elision certificate does not match the code");
+  } else if (!program_.elision.attached && HasUncheckedOps(program_)) {
+    // Unchecked opcodes with no proof at all (a Program that never went
+    // through ElideChecks or VerifyProgram) are refused the same way: the
+    // interpreter and the JIT would both run them without their checks.
+    throw std::invalid_argument("unchecked opcodes without an elision certificate");
   }
   // Native compilation happens after elision so `.nc` sites the certificate
   // proved safe are emitted without check instructions. Profiling VMs stay on

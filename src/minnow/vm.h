@@ -152,6 +152,9 @@ class VM : public Heap::RootProvider {
   }
   // Compilation/deopt counters; null unless dispatch() == kJit.
   const JitStats* jit_stats() const;
+  // The compiled code (Jit::Resolve maps its PCs to bytecode); null unless
+  // dispatch() == kJit.
+  const Jit* jit() const { return jit_.get(); }
 
   // --- opcode profiling (VmOptions::profile_opcodes) ---
   bool profiling() const { return op_counts_ != nullptr; }

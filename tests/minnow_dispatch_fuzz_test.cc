@@ -113,6 +113,7 @@ struct Outcome {
   std::int64_t value = 0;
   std::string trap;
   std::uint64_t retired = 0;
+  std::int64_t fuel = -1;  // left over (RunConfig's `fuel` budget)
 
   bool AgreesWith(const Outcome& other) const {
     return trapped == other.trapped && value == other.value && trap == other.trap;
@@ -125,7 +126,7 @@ std::string Describe(const Outcome& outcome) {
 }
 
 Outcome RunConfig(const Program& compiled, const Config& config, const char* fn,
-                  std::initializer_list<std::int64_t> args) {
+                  std::initializer_list<std::int64_t> args, std::int64_t fuel = -1) {
   Program program = compiled;  // each config transforms its own copy
   if (config.optimize) {
     minnow::Optimize(program);
@@ -146,6 +147,7 @@ Outcome RunConfig(const Program& compiled, const Config& config, const char* fn,
   try {
     vm = std::make_unique<VM>(program, options);
     vm->RunInit();
+    vm->SetFuel(fuel);
     std::vector<Value> values;
     for (const std::int64_t a : args) {
       values.push_back(Value::Int(a));
@@ -157,6 +159,7 @@ Outcome RunConfig(const Program& compiled, const Config& config, const char* fn,
   }
   if (vm != nullptr) {
     outcome.retired = vm->instructions_retired();
+    outcome.fuel = vm->fuel();
   }
   return outcome;
 }
@@ -384,6 +387,39 @@ TEST(DispatchFuzz, RandomProgramsAgreeAcrossAllConfigurations) {
   }
 }
 
+// The JIT charges fuel ahead per region and gives back slack on edges and
+// exits; under any budget its ledgers must match the interpreter's on the
+// same bytecode exactly — the trap point, the instructions retired, and the
+// fuel left — including budgets that run out mid-region and forced deopts.
+TEST(DispatchFuzz, JitFuelLedgerMatchesInterpreterUnderBudgets) {
+  for (int p = 0; p < 40; ++p) {
+    ProgramGen gen(0xF0E1 + p, /*heap=*/p % 2 == 1);
+    const std::string source = gen.Generate();
+    const Program compiled = Compile(source);
+    for (const bool fuse : {false, true}) {
+      for (const bool elide : {false, true}) {
+        const Config interp{DispatchMode::kSwitch, false, fuse, elide};
+        const std::int64_t full =
+            static_cast<std::int64_t>(RunConfig(compiled, interp, "f", {7, -3, 1000}).retired);
+        for (const std::int64_t budget : {std::int64_t{0}, std::int64_t{1}, full / 3, full / 2,
+                                          full - 1, full, full + 1}) {
+          const Outcome want = RunConfig(compiled, interp, "f", {7, -3, 1000}, budget);
+          for (const bool deopt : {false, true}) {
+            const Config jit{DispatchMode::kJit, false, fuse, elide, deopt};
+            const Outcome got = RunConfig(compiled, jit, "f", {7, -3, 1000}, budget);
+            EXPECT_TRUE(got == want && got.retired == want.retired && got.fuel == want.fuel)
+                << "program " << p << " [" << jit.Name() << "] budget " << budget << ": got "
+                << Describe(got) << " retired " << got.retired << " fuel " << got.fuel
+                << ", interpreter " << Describe(want) << " retired " << want.retired << " fuel "
+                << want.fuel << "\nsource:\n" << source;
+            if (HasFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- Directed arithmetic-trap edge cases ---
 
 TEST(DispatchFuzz, DivisionEdgeCasesTrapIdentically) {
@@ -408,6 +444,28 @@ TEST(DispatchFuzz, DivisionEdgeCasesTrapIdentically) {
       RunConfig(Compile(div), {DispatchMode::kThreaded, true, true}, "f", {int_min, -1});
   ASSERT_TRUE(overflow.trapped);
   EXPECT_EQ(overflow.trap, "integer division overflow");
+
+  // Constant divisors: the JIT lowers powers of two to shifts and masks
+  // (checked and `.nz` forms, directly and inside a spliced callee) and
+  // drops the checks a constant divisor makes dead; rounding toward zero
+  // and the INT64_MIN edge must still match.
+  const std::int64_t int_max = std::numeric_limits<std::int64_t>::max();
+  for (const std::string k : {"1", "2", "16", "1048576", "2147483648", "3"}) {
+    const std::string body = "return a / " + k + " + a % " + k + " * 3;";
+    const std::string sources[] = {
+        "fn f(a: int, b: int) -> int { " + body + " }",
+        "fn g(a: int) -> int { " + body + " }\n" +
+            "fn f(a: int, b: int) -> int { return g(a) ^ g(a + b); }",
+        "fn f(a: int, b: int) -> int { return int(u32(a) / u32(" + k + ")) + int(u32(a) % u32(" +
+            k + ")); }",
+    };
+    for (const std::string& source : sources) {
+      for (const std::int64_t a : {std::int64_t{0}, std::int64_t{-1}, std::int64_t{7},
+                                   std::int64_t{-17}, int_min, int_min + 1, int_max}) {
+        ExpectAllConfigsAgree(source, "f", {a, 1}, "constant divisor " + k);
+      }
+    }
+  }
 }
 
 TEST(DispatchFuzz, TrapsInsideLoopsAgreeMidIteration) {

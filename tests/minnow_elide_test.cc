@@ -204,6 +204,12 @@ TEST(ElideCertificate, VerifierRefusesUncheckedOpsWithoutACertificate) {
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.message.find("without an elision certificate"), std::string::npos)
       << report.message;
+  // The VM refuses the same program on both dispatch forms, so code that
+  // skipped VerifyProgram cannot run its `.nc` sites unproven either.
+  EXPECT_THROW(VM vm(program), std::invalid_argument);
+  minnow::VmOptions jit;
+  jit.dispatch = minnow::DispatchMode::kJit;
+  EXPECT_THROW(VM vm(program, jit), std::invalid_argument);
 }
 
 TEST(ElideCertificate, VerifierRefusesAStaleCertificate) {

@@ -12,14 +12,24 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/time.h>
+#include <ucontext.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/grafts/minnow_grafts.h"
 #include "src/minnow/compiler.h"
 #include "src/minnow/diag.h"
 #include "src/minnow/jit.h"
+#include "src/minnow/optimizer.h"
+#include "src/minnow/verifier.h"
 #include "src/minnow/vm.h"
 
 namespace {
@@ -628,5 +638,361 @@ TEST(JitProfile, ProfilingVmStaysOnInterpreter) {
   EXPECT_NE(vm.dispatch(), DispatchMode::kJit);
   EXPECT_FALSE(vm.OpcodeCounts().empty());
 }
+
+// --- register-resident state, rebuilt only when an exit fires ---
+//
+// These programs keep loop-carried locals pinned in registers, operands on
+// the virtual stack, and the arguments of spliced callees unmaterialized,
+// so every exit class must write back its own deopt map before the
+// interpreter resumes. Results, trap messages (several quote operand
+// values), and both ledgers must equal the interpreter's.
+
+// md5-shaped: five hot locals, a spliced leaf callee, power-of-two modulo,
+// a division whose divisor reaches zero when i == d, and an opcode (`~`)
+// only the sixth iteration runs.
+constexpr char kRegisterHeavy[] = R"(
+  fn mix(x: int, k: int) -> int { if (k == 0) { return x; } return (x << k) ^ (x >> 3); }
+  fn f(n: int, d: int) -> int {
+    var a: int = 1;
+    var b: int = 2;
+    var c: int = 3;
+    var e: int = 4;
+    var t: int[] = new int[8];
+    for (var i: int = 0; i < n; i = i + 1) {
+      var s: int = a + mix(b ^ c, i % 4) + t[i % 8] * e;
+      t[(i + a) & 7] = s / (d - i);
+      if (i == 5) { c = ~c; }
+      a = e;
+      e = c;
+      c = b;
+      b = s;
+    }
+    return a + b + c + e;
+  }
+)";
+
+TEST(JitTier2, CheckTrapsDeoptFromRegisterState) {
+  ExpectSame(kRegisterHeavy, "f", {12, 100});
+  const Outcome div = ExpectSame(kRegisterHeavy, "f", {40, 17});
+  EXPECT_TRUE(div.trapped);
+  EXPECT_EQ(div.message, "integer division by zero");
+  // The trap message quotes the index the interpreter finds in the rebuilt
+  // frame: a wrong write-back of the register-held operands shows up here.
+  const Outcome bounds = ExpectSame(R"(fn f(n: int) -> int {
+    var t: int[] = new int[16];
+    var a: int = 3;
+    var b: int = 5;
+    for (var i: int = 0; i < n; i = i + 1) {
+      a = a * 3 + b;
+      b = b ^ i;
+      t[(a ^ b) & 15] = i;
+    }
+    return t[a - a + n + b - b];
+  })",
+                                    "f", {40});
+  EXPECT_TRUE(bounds.trapped);
+  EXPECT_EQ(bounds.message, "array index 40 out of bounds [0, 16)");
+  const Outcome null = ExpectSame(R"(
+    struct S { x: int; }
+    fn f(n: int) -> int {
+      var s: S = new S();
+      var k: int = 0;
+      for (var i: int = 0; i < n; i = i + 1) {
+        s.x = s.x + i;
+        k = k + s.x;
+        if (i == 5) { s = null; }
+      }
+      return k;
+    })",
+                                  "f", {9});
+  EXPECT_TRUE(null.trapped);
+  EXPECT_EQ(null.message, "null dereference in field load");
+}
+
+// Every budget from 0 to enough: the fuel exit fires at every block of the
+// pinned loop and of the spliced callee, with the operand stack and the
+// callee's arguments still in registers.
+TEST(JitTier2, FuelExhaustionMidLoopIsBitIdentical) {
+  const Program program = minnow::Compile(kRegisterHeavy);
+  const Outcome full = RunOne(program, VmOptions{}, "f", {6, 100});
+  ASSERT_FALSE(full.trapped);
+  for (std::int64_t fuel = 0; fuel <= static_cast<std::int64_t>(full.retired) + 1; ++fuel) {
+    const Outcome interp = RunOne(program, VmOptions{}, "f", {6, 100}, fuel);
+    const Outcome jit = RunOne(program, JitOpts(), "f", {6, 100}, fuel);
+    ASSERT_EQ(interp, jit) << "fuel budget " << fuel << ": interp retired=" << interp.retired
+                           << " fuel=" << interp.fuel << " jit retired=" << jit.retired
+                           << " fuel=" << jit.fuel;
+  }
+}
+
+// A deopt the interpreter survives: a filter-denied opcode hands the rest
+// of the run to the interpreter, which must find the pinned locals and the
+// register-held operands in the frame. `~` first runs in the sixth
+// iteration, after every pinned local has moved away from its slot.
+TEST(JitTier2, ForcedDeoptFromPinnedLoopMatches) {
+  const Program program = minnow::Compile(kRegisterHeavy);
+  const Outcome interp = RunOne(program, VmOptions{}, "f", {12, 100});
+  for (const minnow::Op deny : {minnow::Op::kNotI, minnow::Op::kMulI, minnow::Op::kDivI}) {
+    VmOptions options = JitOpts();
+    options.jit_compile_filter = [deny](minnow::Op op) { return op != deny; };
+    EXPECT_EQ(interp, RunOne(program, options, "f", {12, 100})) << minnow::OpName(deny);
+  }
+}
+
+TEST(JitTier2, HostExceptionLeavesExactLedgers) {
+  HostDecl host;
+  host.name = "k_check";
+  host.params = {Type::Int()};
+  host.ret = Type::Int();
+  const Program program = minnow::Compile(R"(
+    fn f(n: int) -> int {
+      var a: int = 7;
+      var b: int = 1;
+      var total: int = 0;
+      for (var i: int = 0; i < n; i = i + 1) {
+        total = total + k_check(a * i + b) * a;
+        a = a + b;
+        b = b + 2;
+      }
+      return total;
+    })",
+                                          {host});
+  Outcome outcomes[2];
+  std::vector<std::uint64_t> seen[2];
+  std::int64_t after[2] = {0, 0};
+  int m = 0;
+  for (const DispatchMode mode : {DispatchMode::kDefault, DispatchMode::kJit}) {
+    VmOptions options;
+    options.dispatch = mode;
+    options.fuel = 1'000'000;
+    VM vm(program, options);
+    std::vector<std::uint64_t>* log = &seen[m];
+    vm.BindHost("k_check", [log](VM& inner, std::span<const Value> args) {
+      log->push_back(inner.instructions_retired());
+      // The argument was computed from pinned locals: the message proves
+      // it reached the host's span intact.
+      if (args[0].AsInt() > 200) throw Trap("host refused " + std::to_string(args[0].AsInt()));
+      return Value::Int(args[0].AsInt() % 5);
+    });
+    vm.RunInit();
+    Outcome& out = outcomes[m++];
+    try {
+      out.result = vm.Call("f", {Value::Int(50)}).AsInt();
+    } catch (const Trap& trap) {
+      out.trapped = true;
+      out.message = trap.what();
+    }
+    out.retired = vm.instructions_retired();
+    out.fuel = vm.fuel();
+    // The VM stays usable, and a short run after the exception agrees too.
+    after[m - 1] = vm.Call("f", {Value::Int(3)}).AsInt();
+  }
+  EXPECT_EQ(after[0], after[1]);
+  EXPECT_TRUE(outcomes[0].trapped);
+  EXPECT_EQ(outcomes[0], outcomes[1]) << outcomes[0].message << " vs " << outcomes[1].message;
+  EXPECT_EQ(seen[0], seen[1]);
+}
+
+TEST(JitTier2, ExitInsideSplicedCalleeResumesInTheCallee) {
+  // `part` is spliced into the loop; its divisor reaches zero at i == 5, so
+  // the trap fires inside the splice with its arguments and locals still in
+  // registers. The stub must build the callee frame the hot path skipped.
+  const std::string source = R"(
+    fn part(x: int, d: int) -> int {
+      var q: int = x / d;
+      return q + x % d;
+    }
+    fn f(n: int) -> int {
+      var acc: int = 0;
+      for (var i: int = 0; i < n; i = i + 1) { acc = acc + part(acc + i, 5 - i); }
+      return acc;
+    })";
+  const Outcome trap = ExpectSame(source, "f", {10});
+  EXPECT_TRUE(trap.trapped);
+  EXPECT_EQ(trap.message, "integer division by zero");
+  const Program program = minnow::Compile(source);
+  const Outcome full = RunOne(program, VmOptions{}, "f", {4});
+  ASSERT_FALSE(full.trapped);
+  for (std::int64_t fuel = 0; fuel <= static_cast<std::int64_t>(full.retired) + 1; ++fuel) {
+    EXPECT_EQ(RunOne(program, VmOptions{}, "f", {4}, fuel), RunOne(program, JitOpts(), "f", {4}, fuel))
+        << "fuel budget " << fuel;
+  }
+}
+
+// A hand-built program whose element-kind operand disagrees with the array
+// it meets at run time: the kind guard deopts and the interpreter, which
+// switches on the runtime kind, produces the result.
+TEST(JitTier2, ElementKindMismatchDeoptsAndMatches) {
+  for (const minnow::TypeKind tag : {minnow::TypeKind::kU32, minnow::TypeKind::kInt}) {
+    Program program = minnow::Compile(
+        "fn f(a: int[], i: int) -> int { a[i + 1] = a[i] + 1; return a[i + 1] * 2 + a.len; }");
+    for (auto& insn : program.functions[static_cast<std::size_t>(program.FindFunction("f"))].code) {
+      if (insn.op == minnow::Op::kLoadElem || insn.op == minnow::Op::kStoreElem) {
+        insn.operand = static_cast<std::int64_t>(tag);
+      }
+    }
+    ASSERT_TRUE(minnow::VerifyProgram(program).ok);
+    std::int64_t results[2];
+    std::vector<std::int64_t> arrays[2];
+    int m = 0;
+    for (const DispatchMode mode : {DispatchMode::kDefault, DispatchMode::kJit}) {
+      VmOptions options;
+      options.dispatch = mode;
+      VM vm(program, options);
+      vm.RunInit();
+      const std::int64_t init[] = {5, 70000000000, 9};
+      minnow::Object* array = vm.NewIntArray(init);
+      vm.Pin(array);
+      results[m] = vm.Call("f", {Value::Ref(array), Value::Int(1)}).AsInt();
+      arrays[m] = array->longs;
+      if (vm.dispatch() == DispatchMode::kJit) {
+        if (tag == minnow::TypeKind::kInt) {
+          EXPECT_EQ(vm.jit_stats()->deopts, 0u) << "matching kinds stay native";
+        } else {
+          EXPECT_GT(vm.jit_stats()->deopts, 0u) << "a mismatched kind must deopt";
+        }
+      }
+      ++m;
+    }
+    EXPECT_EQ(results[0], results[1]);
+    EXPECT_EQ(arrays[0], arrays[1]);
+    EXPECT_EQ(arrays[0][2], 70000000001);
+  }
+}
+
+// A host that reenters the VM and resets the budget mid-loop: the ledger
+// derived from the fuel register must re-base on the way back.
+TEST(JitTier2, ReentrantSetFuelLeavesExactRetired) {
+  HostDecl host;
+  host.name = "k_reenter";
+  host.params = {Type::Int()};
+  host.ret = Type::Int();
+  const Program program = minnow::Compile(R"(
+    fn leaf(x: int) -> int {
+      var s: int = 0;
+      for (var i: int = 0; i < x; i = i + 1) { s = s + i; }
+      return s;
+    }
+    fn f(n: int) -> int {
+      var a: int = 1;
+      var total: int = 0;
+      for (var i: int = 0; i < n; i = i + 1) {
+        total = total + k_reenter(i + a) - a;
+        a = a * 2 % 7;
+      }
+      return total;
+    })",
+                                          {host});
+  Outcome outcomes[2];
+  std::vector<std::uint64_t> seen[2];
+  int m = 0;
+  for (const DispatchMode mode : {DispatchMode::kDefault, DispatchMode::kJit}) {
+    VmOptions options;
+    options.dispatch = mode;
+    options.fuel = 100'000;
+    VM vm(program, options);
+    std::vector<std::uint64_t>* log = &seen[m];
+    vm.BindHost("k_reenter", [log](VM& inner, std::span<const Value> args) {
+      const Value ret = inner.Call("leaf", {args[0]});
+      log->push_back(inner.instructions_retired());
+      inner.SetFuel(5000 + args[0].AsInt());
+      return ret;
+    });
+    vm.RunInit();
+    Outcome& out = outcomes[m++];
+    out.result = vm.Call("f", {Value::Int(12)}).AsInt();
+    out.retired = vm.instructions_retired();
+    out.fuel = vm.fuel();
+  }
+  EXPECT_EQ(outcomes[0], outcomes[1]) << "retired " << outcomes[0].retired << " vs "
+                                      << outcomes[1].retired << ", fuel " << outcomes[0].fuel
+                                      << " vs " << outcomes[1].fuel;
+  EXPECT_EQ(seen[0], seen[1]);
+}
+
+// --- address resolution: native PCs back to {function, bytecode pc} ---
+
+TEST(JitResolve, PcsOutsideCompiledCodeResolveToNothing) {
+  VM vm(minnow::Compile("fn f(n: int) -> int { return n * 2; }"), JitOpts());
+  vm.RunInit();
+  if (vm.jit() == nullptr) GTEST_SKIP() << "no JIT in this build";
+  EXPECT_EQ(vm.jit()->Resolve(nullptr).fn, -1);
+  int on_the_stack = 0;
+  EXPECT_EQ(vm.jit()->Resolve(&on_the_stack).fn, -1);
+}
+
+#if defined(__x86_64__) && defined(__linux__)
+std::atomic<int> g_prof_samples{0};
+std::atomic<std::uintptr_t> g_prof_pcs[512];
+
+void OnProfSignal(int, siginfo_t*, void* context) {
+  const auto* uc = static_cast<const ucontext_t*>(context);
+  const int i = g_prof_samples.fetch_add(1, std::memory_order_relaxed);
+  if (i < 512) {
+    g_prof_pcs[i].store(static_cast<std::uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]),
+                        std::memory_order_relaxed);
+  }
+}
+
+// The profiler's view: SIGPROF samples taken while md5 runs jitted land in
+// the code arena, and Resolve names `rounds` and a pc inside its loop.
+TEST(JitResolve, ProfilerSampleInsideRoundsLoopResolvesToRounds) {
+  Program program = minnow::Compile(grafts::MinnowMd5Source());
+  minnow::FuseSuperinstructions(program);
+  ASSERT_TRUE(minnow::VerifyProgram(program).ok);
+  VmOptions options = JitOpts();
+  options.elide_checks = true;
+  VM vm(program, options);
+  vm.RunInit();
+  if (vm.jit() == nullptr) GTEST_SKIP() << "no JIT in this build";
+  vm.Call("md5_init", {});
+  const int rounds = vm.program().FindFunction("rounds");
+  ASSERT_GE(rounds, 0);
+  // The loop: from the back edge's target to the back edge.
+  std::size_t loop_lo = 0;
+  std::size_t loop_hi = 0;
+  const auto& code = vm.program().functions[static_cast<std::size_t>(rounds)].code;
+  for (std::size_t pc = 0; pc < code.size(); ++pc) {
+    if (code[pc].op == minnow::Op::kJmp && static_cast<std::size_t>(code[pc].operand) < pc) {
+      loop_lo = static_cast<std::size_t>(code[pc].operand);
+      loop_hi = pc;
+    }
+  }
+  ASSERT_LT(loop_lo, loop_hi);
+  std::vector<std::uint8_t> bytes(64 * 1024, 0x5a);
+  minnow::Object* buffer = vm.NewByteArray(bytes);
+  vm.Pin(buffer);
+
+  g_prof_samples.store(0);
+  struct sigaction action {};
+  struct sigaction previous {};
+  action.sa_sigaction = OnProfSignal;
+  action.sa_flags = SA_SIGINFO | SA_RESTART;
+  sigemptyset(&action.sa_mask);
+  ASSERT_EQ(sigaction(SIGPROF, &action, &previous), 0);
+  itimerval timer{};
+  timer.it_interval.tv_usec = 500;
+  timer.it_value.tv_usec = 500;
+  setitimer(ITIMER_PROF, &timer, nullptr);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (g_prof_samples.load() < 200 && std::chrono::steady_clock::now() < deadline) {
+    vm.Call("md5_update", {Value::Ref(buffer), Value::Int(static_cast<std::int64_t>(bytes.size()))});
+  }
+  timer = itimerval{};
+  setitimer(ITIMER_PROF, &timer, nullptr);
+  sigaction(SIGPROF, &previous, nullptr);
+
+  int in_arena = 0;
+  int in_loop = 0;
+  const int n = std::min(g_prof_samples.load(), 512);
+  for (int i = 0; i < n; ++i) {
+    const auto where = vm.jit()->Resolve(reinterpret_cast<const void*>(g_prof_pcs[i].load()));
+    if (where.fn < 0) continue;
+    ++in_arena;
+    if (where.fn == rounds && where.pc >= loop_lo && where.pc <= loop_hi) ++in_loop;
+  }
+  EXPECT_GT(in_loop, 0) << n << " samples, " << in_arena << " in jitted code";
+}
+#endif
 
 }  // namespace

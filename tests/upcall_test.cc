@@ -130,10 +130,24 @@ TEST(ProcessUpcall, RoundTripCostsMoreThanThreadHandoff) {
 }
 
 TEST(SignalBench, ProducesPlausibleFigure) {
-  const auto result = upcall::MeasureSignalHandling(/*runs=*/3, /*rounds_per_run=*/50);
-  if (!result.ok) {
-    GTEST_SKIP() << "signal benchmark unavailable in this environment";
+  // Best of 15 short passes per mode, the modes interleaved within each
+  // pass: a preemption inflates one pass, not the figure, and a slow
+  // stretch of the CPU hits both modes alike.
+  constexpr std::size_t kRounds = 20;
+  constexpr int kSignals = 20;  // the group MeasureSignalHandling posts
+  upcall::SignalBenchResult result;
+  result.handled_us = std::numeric_limits<double>::infinity();
+  result.ignored_us = std::numeric_limits<double>::infinity();
+  for (int pass = 0; pass < 15; ++pass) {
+    const auto one = upcall::MeasureSignalHandling(/*runs=*/1, kRounds);
+    if (!one.ok) {
+      GTEST_SKIP() << "signal benchmark unavailable in this environment";
+    }
+    result.handled_us = std::min(result.handled_us, one.handled_us);
+    result.ignored_us = std::min(result.ignored_us, one.ignored_us);
   }
+  result.per_signal_us =
+      (result.handled_us - result.ignored_us) / static_cast<double>(kRounds * kSignals);
   // Handling must cost more than ignoring, and land in a sane range.
   EXPECT_GT(result.handled_us, result.ignored_us);
   EXPECT_GT(result.per_signal_us, 0.0);
