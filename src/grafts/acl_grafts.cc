@@ -134,27 +134,30 @@ MinnowAclGraft::MinnowAclGraft(std::size_t capacity, minnow::DispatchMode dispat
   vm_->RunInit();
   const Value arg = Value::Int(static_cast<std::int64_t>(capacity));
   vm_->Call("acl_init", std::span<const Value>(&arg, 1));
+  check_ = vm_->FunctionIndex("acl_check");
+  grant_ = vm_->FunctionIndex("acl_grant");
+  revoke_ = vm_->FunctionIndex("acl_revoke");
 }
 
 bool MinnowAclGraft::Check(core::UserId user, core::FileId file, core::Access access) {
   const Value args[3] = {Value::Int(static_cast<std::int64_t>(user)),
                          Value::Int(static_cast<std::int64_t>(file)),
                          Value::Int(static_cast<std::int64_t>(access))};
-  return vm_->Call("acl_check", args).AsBool();
+  return vm_->CallIndex(check_, args).AsBool();
 }
 
 bool MinnowAclGraft::Grant(core::UserId user, core::FileId file, core::Access access) {
   const Value args[3] = {Value::Int(static_cast<std::int64_t>(user)),
                          Value::Int(static_cast<std::int64_t>(file)),
                          Value::Int(static_cast<std::int64_t>(access))};
-  return vm_->Call("acl_grant", args).AsBool();
+  return vm_->CallIndex(grant_, args).AsBool();
 }
 
 void MinnowAclGraft::Revoke(core::UserId user, core::FileId file, core::Access access) {
   const Value args[3] = {Value::Int(static_cast<std::int64_t>(user)),
                          Value::Int(static_cast<std::int64_t>(file)),
                          Value::Int(static_cast<std::int64_t>(access))};
-  vm_->Call("acl_revoke", args);
+  vm_->CallIndex(revoke_, args);
 }
 
 // --- TcletAclGraft ---

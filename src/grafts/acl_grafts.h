@@ -30,6 +30,7 @@ class MinnowAclGraft : public core::AccessControlGraft {
  private:
   const char* technology_;
   std::unique_ptr<minnow::VM> vm_;
+  int check_, grant_, revoke_;  // entry points (VM::CallIndex)
 };
 
 class TcletAclGraft : public core::AccessControlGraft {

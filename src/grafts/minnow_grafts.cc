@@ -319,6 +319,10 @@ MinnowEvictionGraft::MinnowEvictionGraft(MinnowConfig config)
     return Value::Int(static_cast<std::int64_t>(walk_cursor_->page));
   });
   vm_->RunInit();
+  choose_ = vm_->FunctionIndex("choose");
+  hot_add_ = vm_->FunctionIndex("hot_add");
+  hot_remove_ = vm_->FunctionIndex("hot_remove");
+  hot_clear_ = vm_->FunctionIndex("hot_clear");
 }
 
 vmsim::Frame* MinnowEvictionGraft::ChooseVictim(vmsim::Frame* lru_head) {
@@ -327,7 +331,7 @@ vmsim::Frame* MinnowEvictionGraft::ChooseVictim(vmsim::Frame* lru_head) {
   walk_pos_ = 0;
 
   const Value candidate = Value::Int(static_cast<std::int64_t>(lru_head->page));
-  const std::int64_t pos = vm_->Call("choose", std::span<const Value>(&candidate, 1)).AsInt();
+  const std::int64_t pos = vm_->CallIndex(choose_, std::span<const Value>(&candidate, 1)).AsInt();
 
   vmsim::Frame* frame = lru_head;
   for (std::int64_t i = 0; i < pos && frame != nullptr; ++i) {
@@ -338,15 +342,15 @@ vmsim::Frame* MinnowEvictionGraft::ChooseVictim(vmsim::Frame* lru_head) {
 
 void MinnowEvictionGraft::HotListAdd(vmsim::PageId page) {
   const Value arg = Value::Int(static_cast<std::int64_t>(page));
-  vm_->Call("hot_add", std::span<const Value>(&arg, 1));
+  vm_->CallIndex(hot_add_, std::span<const Value>(&arg, 1));
 }
 
 void MinnowEvictionGraft::HotListRemove(vmsim::PageId page) {
   const Value arg = Value::Int(static_cast<std::int64_t>(page));
-  vm_->Call("hot_remove", std::span<const Value>(&arg, 1));
+  vm_->CallIndex(hot_remove_, std::span<const Value>(&arg, 1));
 }
 
-void MinnowEvictionGraft::HotListClear() { vm_->Call("hot_clear", {}); }
+void MinnowEvictionGraft::HotListClear() { vm_->CallIndex(hot_clear_, {}); }
 
 // --- MinnowMd5Graft ---
 
@@ -361,11 +365,15 @@ MinnowMd5Graft::MinnowMd5Graft(MinnowConfig config)
                            Value::Int(kShiftTable[i])};
     vm_->Call("set_const", args);
   }
-  vm_->Call("md5_init", {});
+  md5_init_ = vm_->FunctionIndex("md5_init");
+  md5_update_ = vm_->FunctionIndex("md5_update");
+  md5_final_ = vm_->FunctionIndex("md5_final");
+  digest_ = vm_->GlobalIndex("digest");
+  vm_->CallIndex(md5_init_, {});
 }
 
 void MinnowMd5Graft::EnsureBuffer(std::size_t len) {
-  if (buffer_ != nullptr && buffer_->bytes.size() >= len) {
+  if (buffer_ != nullptr && buffer_->length() >= len) {
     return;
   }
   vm_->UnpinAll();
@@ -378,20 +386,17 @@ void MinnowMd5Graft::Consume(const std::uint8_t* data, std::size_t len) {
     return;
   }
   EnsureBuffer(len);
-  std::memcpy(buffer_->bytes.data(), data, len);
+  std::memcpy(buffer_->bytes().data(), data, len);
   const Value args[2] = {Value::Ref(buffer_), Value::Int(static_cast<std::int64_t>(len))};
-  vm_->Call("md5_update", args);
+  vm_->CallIndex(md5_update_, args);
 }
 
 md5::Digest MinnowMd5Graft::Finish() {
-  vm_->Call("md5_final", {});
+  vm_->CallIndex(md5_final_, {});
   md5::Digest digest{};
-  const Value global = vm_->GetGlobal("digest");
-  const auto* array = reinterpret_cast<const minnow::Object*>(global.bits);
-  for (std::size_t i = 0; i < digest.size(); ++i) {
-    digest[i] = array->bytes[i];
-  }
-  vm_->Call("md5_init", {});
+  auto* array = reinterpret_cast<minnow::Object*>(vm_->GetGlobal(digest_).bits);
+  std::memcpy(digest.data(), array->bytes().data(), digest.size());
+  vm_->CallIndex(md5_init_, {});
   return digest;
 }
 
@@ -406,11 +411,13 @@ MinnowLogicalDiskGraft::MinnowLogicalDiskGraft(const ldisk::Geometry& geometry,
   const Value args[2] = {Value::Int(static_cast<std::int64_t>(geometry.num_blocks)),
                          Value::Int(static_cast<std::int64_t>(geometry.blocks_per_segment))};
   vm_->Call("ld_init", args);
+  ld_write_ = vm_->FunctionIndex("ld_write");
+  ld_translate_ = vm_->FunctionIndex("ld_translate");
 }
 
 ldisk::BlockId MinnowLogicalDiskGraft::OnWrite(ldisk::BlockId logical) {
   const Value arg = Value::Int(static_cast<std::int64_t>(logical));
-  const std::int64_t physical = vm_->Call("ld_write", std::span<const Value>(&arg, 1)).AsInt();
+  const std::int64_t physical = vm_->CallIndex(ld_write_, std::span<const Value>(&arg, 1)).AsInt();
   if (physical < 0) {
     throw ldisk::DiskFull();
   }
@@ -419,7 +426,7 @@ ldisk::BlockId MinnowLogicalDiskGraft::OnWrite(ldisk::BlockId logical) {
 
 ldisk::BlockId MinnowLogicalDiskGraft::Translate(ldisk::BlockId logical) {
   const Value arg = Value::Int(static_cast<std::int64_t>(logical));
-  const std::int64_t physical = vm_->Call("ld_translate", std::span<const Value>(&arg, 1)).AsInt();
+  const std::int64_t physical = vm_->CallIndex(ld_translate_, std::span<const Value>(&arg, 1)).AsInt();
   return physical < 0 ? ldisk::kUnmapped : static_cast<ldisk::BlockId>(physical);
 }
 

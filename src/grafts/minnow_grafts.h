@@ -66,6 +66,8 @@ class MinnowEvictionGraft : public core::PrioritizationGraft {
 
   const char* technology_;
   std::unique_ptr<minnow::VM> vm_;
+  // Entry points, resolved once at construction (VM::CallIndex).
+  int choose_, hot_add_, hot_remove_, hot_clear_;
 
   // Walk context for the lru_page host call (valid during ChooseVictim).
   vmsim::Frame* walk_head_ = nullptr;
@@ -115,6 +117,8 @@ class MinnowMd5Graft : public core::StreamGraft {
 
   const char* technology_;
   std::unique_ptr<minnow::VM> vm_;
+  int md5_init_, md5_update_, md5_final_;  // entry points (VM::CallIndex)
+  int digest_;                             // the `digest` global's index
   minnow::Object* buffer_ = nullptr;  // pinned shared byte[] for chunks
 };
 
@@ -134,6 +138,7 @@ class MinnowLogicalDiskGraft : public core::BlackBoxGraft {
 
   const char* technology_;
   std::unique_ptr<minnow::VM> vm_;
+  int ld_write_, ld_translate_;  // entry points (VM::CallIndex)
 };
 
 // Exposed for tests: the graft sources.

@@ -61,11 +61,12 @@ class MinnowReadAheadGraft : public vmsim::ReadAheadGraft {
     options.dispatch = dispatch;
     vm_ = std::make_unique<minnow::VM>(minnow::Compile(kMinnowSource), options);
     vm_->RunInit();
+    window_ = vm_->FunctionIndex("ra_window");
   }
 
   int Window(vmsim::PageId page) override {
     const minnow::Value arg = minnow::Value::Int(static_cast<std::int64_t>(page));
-    const minnow::Value result = vm_->Call("ra_window", std::span<const minnow::Value>(&arg, 1));
+    const minnow::Value result = vm_->CallIndex(window_, std::span<const minnow::Value>(&arg, 1));
     return static_cast<int>(result.AsInt());
   }
 
@@ -74,6 +75,7 @@ class MinnowReadAheadGraft : public vmsim::ReadAheadGraft {
  private:
   const char* technology_;
   std::unique_ptr<minnow::VM> vm_;
+  int window_;  // entry point (VM::CallIndex)
 };
 
 class TcletReadAheadGraft : public vmsim::ReadAheadGraft {

@@ -96,11 +96,12 @@ class MinnowSchedulerGraft : public sched::SchedulerGraft {
       return Value::Int(At(args).pending_requests);
     });
     vm_->RunInit();
+    pick_next_ = vm_->FunctionIndex("pick_next");
   }
 
   sched::TaskId PickNext(const std::vector<sched::Task>& tasks) override {
     tasks_ = &tasks;
-    const Value result = vm_->Call("pick_next", {});
+    const Value result = vm_->CallIndex(pick_next_, {});
     tasks_ = nullptr;
     const std::int64_t id = result.AsInt();
     return id < 0 ? sched::kNoTask : static_cast<sched::TaskId>(id);
@@ -120,6 +121,7 @@ class MinnowSchedulerGraft : public sched::SchedulerGraft {
 
   const char* technology_;
   std::unique_ptr<minnow::VM> vm_;
+  int pick_next_;  // entry point (VM::CallIndex)
   const std::vector<sched::Task>* tasks_ = nullptr;
 };
 

@@ -14,8 +14,11 @@
 #ifndef GRAFTLAB_SRC_MINNOW_HEAP_H_
 #define GRAFTLAB_SRC_MINNOW_HEAP_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -38,69 +41,73 @@ struct Value {
   bool AsBool() const { return bits != 0; }
 };
 
-class Object {
+// A heap object: a 16-byte header and, in the same allocation at the fixed
+// offset kPayload, its zero-initialized payload — `length` Value fields for
+// a struct, `length` int64/u32/byte elements for an array. Both shapes are
+// fixed-size after creation (a struct's field count is its layout's, and
+// kNewArray picks an array's length), so one load from a fixed offset
+// reaches any field or element; the JIT addresses [obj + kPayload +
+// index << scale] directly. The header is immutable outside the heap.
+class alignas(8) Object {
  public:
   enum class Kind : std::uint8_t { kStruct, kArray };
 
-  Kind kind;
-  bool marked = false;
+  // Header offsets, for code that addresses objects without C++ (jit.cc).
+  static constexpr std::int32_t kKindOffset = 0;
+  static constexpr std::int32_t kElemOffset = 2;
+  static constexpr std::int32_t kLengthOffset = 8;
+  static constexpr std::int32_t kPayload = 16;
 
-  // kStruct
-  int struct_id = -1;
-  std::vector<Value> fields;
+  Kind kind() const { return kind_; }
+  // Element kind of an array; kVoid for a struct.
+  TypeKind elem() const { return elem_; }
+  int struct_id() const { return struct_id_; }
+  // Fields of a struct or elements of an array.
+  std::uint32_t length() const { return length_; }
 
-  // kArray
-  TypeKind elem = TypeKind::kVoid;
-  std::vector<std::uint8_t> bytes;    // kByte / kBool
-  std::vector<std::uint32_t> words;   // kU32
-  std::vector<std::int64_t> longs;    // kInt
+  std::span<Value> fields() { return Payload<Value>(); }
+  std::span<std::int64_t> longs() { return Payload<std::int64_t>(); }    // kInt
+  std::span<std::uint32_t> words() { return Payload<std::uint32_t>(); }  // kU32
+  std::span<std::uint8_t> bytes() { return Payload<std::uint8_t>(); }    // kByte / kBool
 
-  // JIT access cache (jit.cc): element storage resolved once at allocation so
-  // compiled code can reach data without knowing std::vector's layout. Legal
-  // because both shapes are fixed-size after creation: arrays never resize
-  // (kNewArray picks the length) and a struct's field count is its layout's.
-  // For structs, jit_data/jit_len describe the fields vector and jit_elem is
-  // kVoid; for arrays they describe the element vector.
-  void* jit_data = nullptr;
-  std::uint32_t jit_len = 0;
-  TypeKind jit_elem = TypeKind::kVoid;
+  // Header plus payload: exactly what the allocation holds.
+  std::size_t heap_bytes() const { return kPayload + std::size_t{length_} * SlotBytes(elem_); }
 
-  void RefreshJitCache() {
-    if (kind == Kind::kStruct) {
-      jit_data = fields.data();
-      jit_len = static_cast<std::uint32_t>(fields.size());
-      jit_elem = TypeKind::kVoid;
-      return;
-    }
-    jit_elem = elem;
+  // A header copy would have no payload behind it.
+  Object(const Object&) = delete;
+  Object& operator=(const Object&) = delete;
+
+ private:
+  friend class Heap;
+
+  Object(Kind kind, TypeKind elem, int struct_id, std::uint32_t length)
+      : kind_(kind), elem_(elem), struct_id_(struct_id), length_(length) {
+    static_assert(offsetof(Object, kind_) == kKindOffset);
+    static_assert(offsetof(Object, elem_) == kElemOffset);
+    static_assert(offsetof(Object, length_) == kLengthOffset);
+    static_assert(sizeof(Object) == kPayload);
+  }
+
+  // Payload bytes per field or element (a struct's fields are Values).
+  static std::size_t SlotBytes(TypeKind elem) {
     switch (elem) {
-      case TypeKind::kInt:
-        jit_data = longs.data();
-        jit_len = static_cast<std::uint32_t>(longs.size());
-        break;
-      case TypeKind::kU32:
-        jit_data = words.data();
-        jit_len = static_cast<std::uint32_t>(words.size());
-        break;
-      default:
-        jit_data = bytes.data();
-        jit_len = static_cast<std::uint32_t>(bytes.size());
-        break;
+      case TypeKind::kU32: return sizeof(std::uint32_t);
+      case TypeKind::kByte:
+      case TypeKind::kBool: return 1;
+      default: return sizeof(Value);  // kInt elements, struct fields
     }
   }
 
-  std::size_t array_length() const {
-    switch (elem) {
-      case TypeKind::kInt: return longs.size();
-      case TypeKind::kU32: return words.size();
-      default: return bytes.size();
-    }
+  template <typename T>
+  std::span<T> Payload() {
+    return {reinterpret_cast<T*>(reinterpret_cast<char*>(this) + kPayload), length_};
   }
 
-  std::size_t heap_bytes() const {
-    return sizeof(Object) + fields.size() * sizeof(Value) + bytes.size() +
-           words.size() * sizeof(std::uint32_t) + longs.size() * sizeof(std::int64_t);
-  }
+  Kind kind_;
+  bool marked_ = false;
+  TypeKind elem_;
+  int struct_id_;
+  std::uint32_t length_;
 };
 
 class Heap {
@@ -137,13 +144,19 @@ class Heap {
   std::uint64_t collections() const { return collections_; }
 
  private:
-  void Register(std::unique_ptr<Object> object);
+  // Objects are calloc'd header+payload blocks (trivially destructible).
+  struct FreeObject {
+    void operator()(Object* object) const { std::free(object); }
+  };
+  using ObjectPtr = std::unique_ptr<Object, FreeObject>;
+
+  Object* Allocate(Object::Kind kind, TypeKind elem, int struct_id, std::size_t length);
 
   std::size_t limit_bytes_;
   std::size_t gc_threshold_ = 1u << 20;
   std::size_t allocated_bytes_ = 0;
   std::uint64_t collections_ = 0;
-  std::vector<std::unique_ptr<Object>> objects_;
+  std::vector<ObjectPtr> objects_;
   std::unordered_set<void*> objects_set_;
   std::vector<Object*> mark_stack_;
 };

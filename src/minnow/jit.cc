@@ -295,15 +295,11 @@ class Asm {
 };
 
 // ---------------------------------------------------------------------------
-// Runtime layout probes. Object and VM::Frame offsets are discovered from
-// live instances instead of offsetof — Object holds std::vector members, so
-// offsetof would be conditionally-supported and -Winvalid-offsetof trips
-// -Werror builds. JitCtx is standard-layout, probed the same way for
-// uniformity.
+// Runtime layout probes for JitCtx. Object's header offsets are fixed
+// constants (heap.h), checked there with static_asserts.
 // ---------------------------------------------------------------------------
 
 struct Layout {
-  std::int32_t obj_kind, obj_jit_data, obj_jit_len, obj_jit_elem;
   std::int32_t ctx_stack, ctx_globals, ctx_frames, ctx_nframes, ctx_sp, ctx_fuel,
       ctx_retired, ctx_entry_frames, ctx_ret_bits;
 };
@@ -317,11 +313,6 @@ std::int32_t OffsetIn(const T& object, const M& member) {
 const Layout& ProbeLayout() {
   static const Layout layout = [] {
     Layout l{};
-    static const Object obj{};
-    l.obj_kind = OffsetIn(obj, obj.kind);
-    l.obj_jit_data = OffsetIn(obj, obj.jit_data);
-    l.obj_jit_len = OffsetIn(obj, obj.jit_len);
-    l.obj_jit_elem = OffsetIn(obj, obj.jit_elem);
     static const JitCtx ctx{};
     l.ctx_stack = OffsetIn(ctx, ctx.stack);
     l.ctx_globals = OffsetIn(ctx, ctx.globals);

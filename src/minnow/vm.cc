@@ -35,12 +35,42 @@ Object* RequireObject(Value v, const char* what) {
 }
 
 std::size_t CheckIndex(const Object* array, std::int64_t index) {
-  const std::size_t length = array->array_length();
+  const std::size_t length = array->length();
   if (index < 0 || static_cast<std::size_t>(index) >= length) {
     throw Trap("array index " + std::to_string(index) + " out of bounds [0, " +
                std::to_string(length) + ")");
   }
   return static_cast<std::size_t>(index);
+}
+
+// Opcode-body helpers, forced inline: the dispatch loops are large enough
+// that GCC would otherwise call them out of line on every access.
+
+// A struct's field slot: a non-struct or an index past its layout traps.
+[[gnu::always_inline]] inline Value& FieldSlot(Object* object, std::int64_t operand) {
+  const auto index = static_cast<std::size_t>(operand);
+  if (object->kind() != Object::Kind::kStruct || index >= object->length()) {
+    throw Trap("bad field access");
+  }
+  return object->fields()[index];
+}
+
+// Element access by the array's runtime kind (the index is already valid).
+[[gnu::always_inline]] inline Value LoadElement(Object* array, std::size_t index) {
+  switch (array->elem()) {
+    case TypeKind::kInt: return Value::Int(array->longs()[index]);
+    case TypeKind::kU32: return {array->words()[index]};
+    default: return Value::Int(array->bytes()[index]);
+  }
+}
+
+[[gnu::always_inline]] inline void StoreElement(Object* array, std::size_t index, Value value) {
+  switch (array->elem()) {
+    case TypeKind::kInt: array->longs()[index] = value.AsInt(); break;
+    case TypeKind::kU32: array->words()[index] = value.AsU32(); break;
+    case TypeKind::kBool: array->bytes()[index] = value.bits != 0 ? 1 : 0; break;
+    default: array->bytes()[index] = static_cast<std::uint8_t>(value.bits); break;
+  }
 }
 
 // Extra frame slots beyond max_call_depth: the per-entry depth limit is
@@ -133,12 +163,12 @@ void VM::RunInit() {
   init_ran_ = true;
 }
 
-Value VM::Call(const std::string& name, std::span<const Value> args) {
+int VM::FunctionIndex(const std::string& name) const {
   const int index = program_.FindFunction(name);
   if (index < 0) {
     throw std::invalid_argument("no function named '" + name + "'");
   }
-  return CallIndex(index, args);
+  return index;
 }
 
 Value VM::CallIndex(int fn_index, std::span<const Value> args) {
@@ -190,14 +220,14 @@ void VM::EnumerateRoots(Heap& heap) {
 Object* VM::NewByteArray(std::span<const std::uint8_t> data) {
   MaybeCollect(data.size());
   Object* array = heap_.NewArray(TypeKind::kByte, data.size());
-  std::memcpy(array->bytes.data(), data.data(), data.size());
+  std::memcpy(array->bytes().data(), data.data(), data.size());
   return array;
 }
 
 Object* VM::NewIntArray(std::span<const std::int64_t> data) {
   MaybeCollect(data.size() * 8);
   Object* array = heap_.NewArray(TypeKind::kInt, data.size());
-  std::memcpy(array->longs.data(), data.data(), data.size() * sizeof(std::int64_t));
+  std::memcpy(array->longs().data(), data.data(), data.size() * sizeof(std::int64_t));
   return array;
 }
 
@@ -206,10 +236,10 @@ Object* VM::NewU32Array(std::size_t length) {
   return heap_.NewArray(TypeKind::kU32, length);
 }
 
-Value VM::GetGlobal(const std::string& name) const {
+int VM::GlobalIndex(const std::string& name) const {
   for (std::size_t g = 0; g < globals_.size(); ++g) {
     if (program_.globals[g].name == name) {
-      return globals_[g];
+      return static_cast<int>(g);
     }
   }
   throw std::invalid_argument("no global named '" + name + "'");
@@ -221,13 +251,7 @@ void VM::SetGlobal(const std::string& name, Value value) {
   if (program_.elision.attached) {
     throw std::invalid_argument("SetGlobal on a certified (check-elided) program");
   }
-  for (std::size_t g = 0; g < globals_.size(); ++g) {
-    if (program_.globals[g].name == name) {
-      globals_[g] = value;
-      return;
-    }
-  }
-  throw std::invalid_argument("no global named '" + name + "'");
+  globals_[static_cast<std::size_t>(GlobalIndex(name))] = value;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> VM::OpcodeCounts() const {

@@ -106,11 +106,17 @@ class VM : public Heap::RootProvider {
 
   // Calls a function by name. Throws Trap on runtime faults and
   // std::invalid_argument for unknown names / arity mismatches.
-  Value Call(const std::string& name, std::span<const Value> args);
+  Value Call(const std::string& name, std::span<const Value> args) {
+    return CallIndex(FunctionIndex(name), args);
+  }
   Value Call(const std::string& name, std::initializer_list<Value> args) {
     return Call(name, std::span<const Value>(args.begin(), args.size()));
   }
+  // The same call on an index FunctionIndex resolved once: hosts resolve
+  // their entry points at load so hot calls skip Call's name scan.
   Value CallIndex(int fn_index, std::span<const Value> args);
+  // Throws std::invalid_argument for unknown names.
+  int FunctionIndex(const std::string& name) const;
 
   // --- fuel / preemption ---
   void SetFuel(std::int64_t fuel) { fuel_ = fuel; }
@@ -128,8 +134,12 @@ class VM : public Heap::RootProvider {
   Heap& heap() { return heap_; }
   const Program& program() const { return program_; }
 
-  // Reads a global by name (host-side inspection, e.g. in tests).
-  Value GetGlobal(const std::string& name) const;
+  // Reads a global by name (host-side inspection, e.g. in tests), or by the
+  // index GlobalIndex resolved once (throws std::invalid_argument for
+  // unknown names).
+  Value GetGlobal(const std::string& name) const { return GetGlobal(GlobalIndex(name)); }
+  Value GetGlobal(int index) const { return globals_.at(static_cast<std::size_t>(index)); }
+  int GlobalIndex(const std::string& name) const;
   void SetGlobal(const std::string& name, Value value);
 
   // Heap::RootProvider: globals (precise) + stack (conservative) + pins.

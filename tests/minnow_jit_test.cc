@@ -844,7 +844,7 @@ TEST(JitTier2, ElementKindMismatchDeoptsAndMatches) {
       minnow::Object* array = vm.NewIntArray(init);
       vm.Pin(array);
       results[m] = vm.Call("f", {Value::Ref(array), Value::Int(1)}).AsInt();
-      arrays[m] = array->longs;
+      arrays[m].assign(array->longs().begin(), array->longs().end());
       if (vm.dispatch() == DispatchMode::kJit) {
         if (tag == minnow::TypeKind::kInt) {
           EXPECT_EQ(vm.jit_stats()->deopts, 0u) << "matching kinds stay native";
@@ -858,6 +858,118 @@ TEST(JitTier2, ElementKindMismatchDeoptsAndMatches) {
     EXPECT_EQ(arrays[0], arrays[1]);
     EXPECT_EQ(arrays[0][2], 70000000001);
   }
+}
+
+// Flat objects: fields and elements sit at Object::kPayload in the object's
+// own allocation, and native code addresses them there after its guards.
+// The edges of the payload — the last field, the last element, empty and
+// one-element arrays — must load, store and trap exactly as the
+// interpreter does, with and without check elision (the .nc forms).
+TEST(JitFlatObjects, LastFieldLoadsAndOnePastItTraps) {
+  Program program = minnow::Compile(R"(
+    struct A { x: int; }
+    struct B { p: int; q: int; r: int; }
+    fn last(k: int) -> int {
+      var b: B = new B();
+      b.r = k;
+      b.p = b.r + 1;
+      return b.r * 3 + b.p + b.q;
+    }
+    fn past(k: int) -> int {
+      var a: A = new A();
+      a.x = k;
+      return a.x;
+    }
+  )");
+  // Hand-built bytecode: `past` addresses A's field 1, one past its last
+  // (index 1 is B's, so the verifier accepts it) — a run-time trap.
+  for (auto& insn : program.functions[static_cast<std::size_t>(program.FindFunction("past"))].code) {
+    if (insn.op == minnow::Op::kLoadField || insn.op == minnow::Op::kStoreField) {
+      insn.operand = 1;
+    }
+  }
+  ASSERT_TRUE(minnow::VerifyProgram(program).ok);
+  for (const bool elide : {false, true}) {
+    VmOptions options;
+    options.elide_checks = elide;
+    const Outcome interp = RunOne(program, options, "last", {7});
+    options.dispatch = DispatchMode::kJit;
+    EXPECT_EQ(RunOne(program, options, "last", {7}), interp) << "elide=" << elide;
+    EXPECT_EQ(interp.result, 7 * 3 + 8);
+    options.dispatch = DispatchMode::kDefault;
+    const Outcome bad = RunOne(program, options, "past", {7});
+    options.dispatch = DispatchMode::kJit;
+    EXPECT_EQ(RunOne(program, options, "past", {7}), bad) << "elide=" << elide;
+    EXPECT_TRUE(bad.trapped);
+    EXPECT_EQ(bad.message, "bad field access");
+  }
+}
+
+// One element kind's edge cases: `new T[n]`, write then read element i
+// (through a register index and through a constant one), and the length.
+std::string ElemEdgeSource(const std::string& type, const std::string& value) {
+  // Element reads as an int (bools have no numeric cast).
+  const std::string to_int = type == "bool" ? "num" : "int";
+  return "fn num(x: bool) -> int { if (x) { return 1; } return 0; }\n"
+         "fn f(n: int, i: int) -> int {\n"
+         "  var a: " + type + "[] = new " + type + "[n];\n"
+         "  a[i] = " + value + ";\n"
+         "  var k: int = a.len;\n"
+         "  if (n == 1) { a[0] = " + value + "; k = k + " + to_int + "(a[0]) * 0 + 100; }\n"
+         "  if (n == 0) { k = k + " + to_int + "(a[0]); }\n"
+         "  return k * 1000 + " + to_int + "(a[i]);\n"
+         "}\n";
+}
+
+TEST(JitFlatObjects, LastElementOfEachKindAndOnePastItTrap) {
+  const std::pair<const char*, const char*> kinds[] = {
+      {"int", "70000000000 + i"}, {"u32", "u32(0xFFFFFFFF) - u32(i)"},
+      {"byte", "byte(i + 200)"}, {"bool", "i >= 0"}};
+  for (const auto& [type, value] : kinds) {
+    const std::string source = ElemEdgeSource(type, value);
+    for (const bool elide : {false, true}) {
+      VmOptions options;
+      options.elide_checks = elide;
+      for (const std::int64_t n : {1, 2, 9}) {
+        const Outcome last = ExpectSame(source, "f", {n, n - 1}, options);
+        EXPECT_FALSE(last.trapped) << type << " n=" << n << ": " << last.message;
+        const Outcome past = ExpectSame(source, "f", {n, n}, options);
+        EXPECT_TRUE(past.trapped) << type << " n=" << n;
+        EXPECT_EQ(past.message, "array index " + std::to_string(n) + " out of bounds [0, " +
+                                    std::to_string(n) + ")");
+        const Outcome negative = ExpectSame(source, "f", {n, -1}, options);
+        EXPECT_EQ(negative.message, "array index -1 out of bounds [0, " + std::to_string(n) + ")");
+      }
+    }
+  }
+}
+
+TEST(JitFlatObjects, ZeroAndOneLengthArrays) {
+  for (const char* type : {"int", "u32", "byte", "bool"}) {
+    const std::string source = ElemEdgeSource(type, "a[0]");
+    for (const bool elide : {false, true}) {
+      VmOptions options;
+      options.elide_checks = elide;
+      // Length 0: even index 0 is out of bounds (both the register-index
+      // store and the constant-index load).
+      const Outcome empty = ExpectSame(source, "f", {0, 0}, options);
+      EXPECT_TRUE(empty.trapped) << type;
+      EXPECT_EQ(empty.message, "array index 0 out of bounds [0, 0)") << type;
+      // Length 1: index 0 is the first and the last element; the constant
+      // a[0] path reads back the zero-initialized payload.
+      const Outcome one = ExpectSame(source, "f", {1, 0}, options);
+      EXPECT_FALSE(one.trapped) << type << ": " << one.message;
+      EXPECT_EQ(one.result, 101 * 1000) << type;
+      const Outcome one_past = ExpectSame(source, "f", {1, 1}, options);
+      EXPECT_EQ(one_past.message, "array index 1 out of bounds [0, 1)") << type;
+    }
+  }
+  // A zero-length array's length is read from the header without a payload.
+  const Outcome len = ExpectSame(
+      "fn f(n: int) -> int { var a: byte[] = new byte[n]; var b: int[] = new int[n]; "
+      "return a.len + b.len + 5; }",
+      "f", {0});
+  EXPECT_EQ(len.result, 5);
 }
 
 // A host that reenters the VM and resets the budget mid-loop: the ledger

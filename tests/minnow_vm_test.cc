@@ -260,8 +260,8 @@ TEST(Hosts, ByteArrayBridge) {
                 {host}));
   vm.BindHost("k_fill", [](VM&, std::span<const Value> args) {
     auto* array = reinterpret_cast<minnow::Object*>(args[0].bits);
-    for (std::size_t i = 0; i < array->bytes.size(); ++i) {
-      array->bytes[i] = static_cast<std::uint8_t>(i);
+    for (std::size_t i = 0; i < array->length(); ++i) {
+      array->bytes()[i] = static_cast<std::uint8_t>(i);
     }
     return Value::Null();
   });
