@@ -18,14 +18,20 @@
 //        the best interpreter row — the gate is >= 5x on the MD5-stream
 //        graft over (threaded + fused) with identical digests, plus a
 //        normalized-cost table against SFI on all three grafts (the paper's
-//        "compiled Java lands within striking distance of SFI" claim)
+//        "compiled Java lands within striking distance of SFI" claim), and
+//        two per-call rows: an empty call (what entering an extension costs)
+//        and one logical-disk OnWrite on a pre-built graft (the paper's
+//        per-block overhead, without the workload generator the ldisk
+//        workload row also times)
 //
 // A final section prints the opcode and opcode-pair frequency profile the
 // fusion set was selected from (the same counters graftd telemetry exports).
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +40,10 @@
 #include "src/core/technology.h"
 #include "src/grafts/factory.h"
 #include "src/grafts/minnow_grafts.h"
+#include "src/ldisk/logical_disk.h"
+#include "src/minnow/compiler.h"
+#include "src/minnow/vm.h"
+#include "src/sfi/jump_table.h"
 #include "src/stats/harness.h"
 #include "src/stats/running_stats.h"
 #include "src/vmsim/frame.h"
@@ -123,6 +133,72 @@ double MeasureConfigLdiskUs(const grafts::MinnowConfig& config, std::size_t runs
     per_run_us.Add(timer.ElapsedUs());
   }
   return per_run_us.min();  // best pass, as in MeasureConfigMd5Us
+}
+
+// Per-write cost of OnWrite on a pre-built graft, best of `runs`. The
+// logical block stream is drawn before the clock starts and the graft is
+// built (ld_init run) outside it, so the row is the call and its body.
+template <typename MakeGraft>
+double MeasureLdiskPerWriteNs(const MakeGraft& make, std::size_t runs, std::uint64_t writes) {
+  ldisk::Geometry geometry;
+  geometry.num_blocks = writes;
+  ldisk::SkewedWorkload workload(geometry, /*seed=*/80204);
+  std::vector<ldisk::BlockId> blocks(writes);
+  for (auto& block : blocks) {
+    block = workload.Next();
+  }
+  double best_ns = 1e300;
+  for (std::size_t run = 0; run < runs; ++run) {
+    const auto graft = make(geometry);
+    stats::SpinWarmup();
+    stats::Timer timer;
+    ldisk::BlockId sink = 0;
+    for (const ldisk::BlockId block : blocks) {
+      sink ^= graft->OnWrite(block);
+    }
+    stats::DoNotOptimize(sink);
+    best_ns = std::min(best_ns, timer.ElapsedUs() * 1e3 / static_cast<double>(writes));
+  }
+  return best_ns;
+}
+
+// Per-call cost of entering `fn id(x: int) -> int { return x; }` through
+// VM::CallIndex, on the threaded interpreter or the JIT — the extension
+// entry alone, with a body of two instructions.
+double MeasureEmptyCallNs(bool jit, std::size_t runs) {
+  minnow::VmOptions options;
+  options.dispatch = jit ? minnow::DispatchMode::kJit : minnow::DispatchMode::kThreaded;
+  minnow::VM vm(minnow::Compile("fn id(x: int) -> int { return x; }"), options);
+  vm.RunInit();
+  const int id = vm.FunctionIndex("id");
+  const auto measurement = stats::MeasureAutoScaled(runs, 5000.0, [&](std::size_t iters) {
+    std::int64_t sink = 0;
+    for (std::size_t i = 0; i < iters; ++i) {
+      const minnow::Value arg = minnow::Value::Int(static_cast<std::int64_t>(i));
+      sink += vm.CallIndex(id, std::span<const minnow::Value>(&arg, 1)).AsInt();
+    }
+    stats::DoNotOptimize(sink);
+  });
+  return measurement.mean_us() * 1e3;
+}
+
+// SFI's control-flow crossing for the same empty function: one masked
+// indirect call through the sandbox jump table.
+[[gnu::noinline]] std::int64_t SfiIdentity(std::int64_t x) { return x; }
+
+double MeasureSfiEmptyCallNs(std::size_t runs) {
+  sfi::JumpTable<std::int64_t, std::int64_t> table(
+      4, +[](std::int64_t) -> std::int64_t { return -1; });
+  std::size_t id = table.Register(&SfiIdentity);
+  const auto measurement = stats::MeasureAutoScaled(runs, 5000.0, [&](std::size_t iters) {
+    std::int64_t sink = 0;
+    for (std::size_t i = 0; i < iters; ++i) {
+      stats::DoNotOptimize(id);
+      sink += table.Call(id, static_cast<std::int64_t>(i));
+    }
+    stats::DoNotOptimize(sink);
+  });
+  return measurement.mean_us() * 1e3;
 }
 
 grafts::MinnowConfig InterpConfig(bool threaded, bool fuse, bool optimize = false) {
@@ -342,6 +418,45 @@ int main(int argc, char** argv) {
                 "(paper target: within 2-5x)\n",
                 jit_md5_us / sfi_md5_us, jit_evict_us / sfi_evict_us,
                 jit_ldisk_us / sfi_ldisk_us);
+
+    // Per-call rows. The ldisk row above times ReplayWorkload whole, whose
+    // workload generator dilutes the graft's share; these isolate entry.
+    const auto minnow_ldisk = [](const grafts::MinnowConfig& config) {
+      return [config](const ldisk::Geometry& geometry) {
+        return std::make_unique<grafts::MinnowLogicalDiskGraft>(geometry, config);
+      };
+    };
+    const auto native_ldisk = [](Technology technology) {
+      return [technology](const ldisk::Geometry& geometry) {
+        return grafts::CreateLogicalDiskGraft(technology, geometry);
+      };
+    };
+    const double call_interp_ns = MeasureEmptyCallNs(/*jit=*/false, runs);
+    const double call_jit_ns = MeasureEmptyCallNs(/*jit=*/true, runs);
+    const double call_sfi_ns = MeasureSfiEmptyCallNs(runs);
+    const auto interp_config = InterpConfig(/*threaded=*/true, /*fuse=*/true);
+    const double write_interp_ns =
+        MeasureLdiskPerWriteNs(minnow_ldisk(interp_config), runs, writes);
+    const double write_jit_ns = MeasureLdiskPerWriteNs(minnow_ldisk(jit_config), runs, writes);
+    const double write_sfi_ns =
+        MeasureLdiskPerWriteNs(native_ldisk(Technology::kSfi), runs, writes);
+    const double write_c_ns = MeasureLdiskPerWriteNs(native_ldisk(Technology::kC), runs, writes);
+    std::printf("\n%-22s %15s %12s %12s %12s %12s\n", "per call", "interp (best)", "jit", "sfi",
+                "c", "jit cost/sfi");
+    std::printf("%-22s %13.1fns %10.1fns %10.1fns %12s %11.2fx\n", "empty call",
+                call_interp_ns, call_jit_ns, call_sfi_ns, "-", call_jit_ns / call_sfi_ns);
+    std::printf("%-22s %13.1fns %10.1fns %10.1fns %10.1fns %11.2fx\n", "ldisk OnWrite, per write",
+                write_interp_ns, write_jit_ns, write_sfi_ns, write_c_ns,
+                write_jit_ns / write_sfi_ns);
+    std::printf("jit entry vs interpreter entry (empty call): %.2fx\n",
+                call_jit_ns / call_interp_ns);
+    jit_report.Add("call_empty/interp_threaded_fused", runs, call_interp_ns, 0);
+    jit_report.Add("call_empty/jit", runs, call_jit_ns, 0);
+    jit_report.Add("call_empty/sfi", runs, call_sfi_ns, 0);
+    jit_report.Add("ldisk_write/interp_threaded_fused", runs, write_interp_ns, 0);
+    jit_report.Add("ldisk_write/jit", runs, write_jit_ns, 0);
+    jit_report.Add("ldisk_write/sfi", runs, write_sfi_ns, 0);
+    jit_report.Add("ldisk_write/c", runs, write_c_ns, 0);
   }
   jit_report.Write();
 

@@ -1,6 +1,8 @@
 #include "src/minnow/jit.h"
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -295,50 +297,29 @@ class Asm {
 };
 
 // ---------------------------------------------------------------------------
-// Runtime layout probes for JitCtx. Object's header offsets are fixed
-// constants (heap.h), checked there with static_asserts.
+// Offsets baked into emitted code. ExecState and Frame are standard-layout;
+// Object's header offsets are fixed constants (heap.h), checked there.
 // ---------------------------------------------------------------------------
 
-struct Layout {
-  std::int32_t ctx_stack, ctx_globals, ctx_frames, ctx_nframes, ctx_sp, ctx_fuel,
-      ctx_retired, ctx_entry_frames, ctx_ret_bits;
+struct StateOffsets {
+  std::int32_t stack, globals, frames, nframes, sp, fuel, retired, frame_limit;
 };
+constexpr StateOffsets S{
+    offsetof(ExecState, stack),   offsetof(ExecState, globals), offsetof(ExecState, frames),
+    offsetof(ExecState, nframes), offsetof(ExecState, sp),      offsetof(ExecState, fuel),
+    offsetof(ExecState, retired), offsetof(ExecState, frame_limit)};
 
-template <typename T, typename M>
-std::int32_t OffsetIn(const T& object, const M& member) {
-  return static_cast<std::int32_t>(reinterpret_cast<const char*>(&member) -
-                                   reinterpret_cast<const char*>(&object));
-}
-
-const Layout& ProbeLayout() {
-  static const Layout layout = [] {
-    Layout l{};
-    static const JitCtx ctx{};
-    l.ctx_stack = OffsetIn(ctx, ctx.stack);
-    l.ctx_globals = OffsetIn(ctx, ctx.globals);
-    l.ctx_frames = OffsetIn(ctx, ctx.frames);
-    l.ctx_nframes = OffsetIn(ctx, ctx.nframes);
-    l.ctx_sp = OffsetIn(ctx, ctx.sp);
-    l.ctx_fuel = OffsetIn(ctx, ctx.fuel);
-    l.ctx_retired = OffsetIn(ctx, ctx.retired);
-    l.ctx_entry_frames = OffsetIn(ctx, ctx.entry_frames);
-    l.ctx_ret_bits = OffsetIn(ctx, ctx.ret_bits);
-    return l;
-  }();
-  return layout;
-}
-
-// VM::Frame is private; Jit (a friend) probes its layout and hands the plain
-// offsets to the compiler below.
 struct FrameOffsets {
   std::int32_t fn, pc, base, size;
 };
+constexpr FrameOffsets F{offsetof(Frame, fn), offsetof(Frame, pc), offsetof(Frame, base),
+                         sizeof(Frame)};
 
 namespace {
 
 // ---------------------------------------------------------------------------
 // Per-function compiler. Register roles:
-//   r14 = JitCtx*
+//   r14 = ExecState* (the VM's own execution state, worked on in place)
 //   r13 = locals base (stack + 8*frame->base). Every slot — caller local s,
 //         operand depth d at s = num_locals + d, a spliced callee's locals
 //         and operands above those — lives at [r13 + 8*s].
@@ -357,10 +338,10 @@ constexpr Reg CTX = R14;
 constexpr Reg LOCALS = R13;
 constexpr Reg GLB = RBX;
 constexpr Reg FRM = RBP;
-// The live fuel counter. ctx->fuel is authoritative only at sync points
+// The live fuel counter. st->fuel is authoritative only at sync points
 // (prologue/epilogue, call boundaries); in between, block accounting runs
 // against the register so the common path is one sub and one taken-never
-// branch. Unlimited runs (negative ctx->fuel) bias r15 to INT64_MAX — the
+// branch. Unlimited runs (negative st->fuel) bias r15 to INT64_MAX — the
 // subtracts still happen but can never exhaust, and every sync skips the
 // store so the sentinel survives.
 constexpr Reg FUEL = R15;
@@ -372,7 +353,9 @@ constexpr Reg kNoReg = RSP;  // "no register": rsp is never allocated
 // Where one operand-stack value lives at compile time. kSlot means the
 // interpreter's own slot holds it (memory is current); every other kind
 // means the slot is stale and the value is elsewhere — the deopt map of an
-// exit lists exactly those entries.
+// exit lists exactly those entries. `vn` is the value's number (see the
+// value-numbering section of Compiler): two values with the same nonzero
+// number hold the same bits, wherever each one lives.
 struct Val {
   enum Kind : std::uint8_t { kSlot, kReg, kImm, kLocal, kCond };
   Kind kind = kSlot;
@@ -380,12 +363,14 @@ struct Val {
   Cc cc = CC_E;          // kCond: the value is setcc(cc) of the live flags
   int slot = 0;          // kSlot: its own slot; kLocal: the caller local aliased
   std::int64_t imm = 0;  // kImm
+  std::uint32_t vn = 0;  // 0: unnumbered
 
   static Val Slot(int s) { Val v; v.slot = s; return v; }
   static Val InReg(Reg r) { Val v; v.kind = kReg; v.reg = r; return v; }
   static Val Imm(std::int64_t i) { Val v; v.kind = kImm; v.imm = i; return v; }
   static Val Local(int s) { Val v; v.kind = kLocal; v.slot = s; return v; }
   static Val Cond(Cc c) { Val v; v.kind = kCond; v.cc = c; return v; }
+  Val Numbered(std::uint32_t n) const { Val v = *this; v.vn = n; return v; }
 };
 
 constexpr std::uint64_t kU32Mask = 0xFFFFFFFFull;
@@ -603,18 +588,14 @@ struct Compiler {
   const Program& program;
   const FunctionCode& fn;
   const VmOptions& opts;
-  const Layout& L;
-  const FrameOffsets& F;
-  const void** entry_table;  // &entries_[0]; kCall sites load through it
+  void* const* entry_table;  // &entries_[0]; kCall sites load through it
   // Out-of-line helper entry points (private Jit members, so Impl passes
   // their addresses in rather than the compiler naming them).
-  const void* help_push_frame;
   const void* help_call_host;
   const void* help_new_struct;
   const void* help_new_array;
-  // VM-lifetime capacities (fixed at construction, arena-backed, never
-  // resized) — lets kCall inline PushFrame with immediate-folded checks.
-  std::size_t frame_capacity;
+  // The VM's stack size (fixed at construction, arena-backed, never
+  // resized) — lets the prologue's stack-room check fold to an immediate.
   std::size_t stack_slots;
 
   Asm a{};
@@ -854,9 +835,10 @@ struct Compiler {
 
   // --- pinned locals ---------------------------------------------------------
   //
-  // Locals referenced inside a loop (a pc range closed by a back edge) are
-  // ranked by their static reference count there; the top five get a
-  // register for the whole function. Straight-line functions pin nothing.
+  // Up to five locals live in registers for the whole function. A function
+  // with loops ranks its locals by their static references inside loops (a
+  // pc range closed by a back edge); a straight-line function by their
+  // references anywhere. A local needs two references to earn a register.
   static int LocalsOf(const Insn& insn, int out[2]) {
     switch (insn.op) {
       case Op::kLoadLocal: case Op::kStoreLocal: case Op::kLoadAddI:
@@ -881,18 +863,20 @@ struct Compiler {
     const std::size_t n = fn.code.size();
     pin_.assign(static_cast<std::size_t>(fn.num_locals), kNoReg);
     std::vector<int> loop_edge(n + 1, 0);  // +1 at a loop head, -1 past its back edge
+    bool loops = false;
     for (std::size_t pc = 0; pc < n; ++pc) {
       Eff e;
       if (m_.depth[pc] >= 0 && EffectOf(program, fn.code[pc], e) && e.branch && e.target <= pc) {
         ++loop_edge[e.target];
         --loop_edge[pc + 1];
+        loops = true;
       }
     }
     std::vector<int> uses(pin_.size(), 0);
     int open = 0;
     for (std::size_t pc = 0; pc < n; ++pc) {
       open += loop_edge[pc];
-      if (open <= 0 || m_.depth[pc] < 0) continue;
+      if ((loops && open <= 0) || m_.depth[pc] < 0) continue;
       int locals[2];
       const int k = LocalsOf(fn.code[pc], locals);
       for (int i = 0; i < k; ++i) {
@@ -937,7 +921,7 @@ struct Compiler {
       if (vs_[d].kind == Val::kReg && (frozen_ & Bit(vs_[d].reg)) == 0) {
         const Reg r = vs_[d].reg;
         a.Store64(LOCALS, SlotDisp(d), r);
-        vs_[d] = Val::Slot(AbsSlot(d));
+        vs_[d] = Val::Slot(AbsSlot(d)).Numbered(vs_[d].vn);
         return r;  // stays busy: now the caller's
       }
     }
@@ -1048,7 +1032,7 @@ struct Compiler {
     if (v.kind == Val::kSlot) return;
     StoreVal(LOCALS, SlotDisp(d), v);
     Release(v);
-    vs_[d] = Val::Slot(AbsSlot(d));
+    vs_[d] = Val::Slot(AbsSlot(d)).Numbered(v.vn);
   }
   // Block end: every value to its interpreter slot. Moves only — flags
   // survive for a following jcc.
@@ -1073,13 +1057,193 @@ struct Compiler {
     vs_.resize(static_cast<std::size_t>(n));
     in_flight_.clear();
     busy_ = frozen_;
+    ForgetValues();
   }
+
+  // --- value numbering ------------------------------------------------------
+  //
+  // Within a block (everything is forgotten at a join), each value gets a
+  // number from what computed it: a global load from {global, its store
+  // generation, the call count}, a pure op from {op, operand numbers}, a
+  // caller local from whatever was last written to it. A template about to
+  // compute a number that some operand-stack entry already holds copies
+  // that entry instead — a register move, or one load from its slot — so a
+  // repeated global load, a repeated division (whose zero and overflow
+  // checks ran the first time) or a repeated subexpression costs nothing.
+  // A store to a global bumps its generation; every call, host call and
+  // helper call bumps the call count, so no global value survives one.
+  // Facts a check established about a value (non-null, element kind, field
+  // count, an index in bounds, a division safe) are kept by number and
+  // suppress the same check later in the block: object kind and length
+  // never change, and the collector does not move objects. Reused values
+  // are ordinary entries, so every exit's deopt map still writes them back.
+  // The state is a handful of small flat vectors per block, copied at
+  // every forward edge, so lookups are linear scans.
+  enum VnKind : std::int64_t { kVnGlobal, kVnOp };
+  struct Facts {
+    bool nonnull = false;
+    bool array = false;
+    int elem = -1;            // proven element kind (TypeKind), -1 unknown
+    std::int64_t fields = 0;  // a struct with at least this many fields
+  };
+  // What an operand is for numbering: a number, or a constant by value
+  // (constants need no table). kNone: unnumbered.
+  struct Ident {
+    enum Tag : std::int64_t { kNone, kNumber, kConst };
+    Tag tag;
+    std::int64_t value;
+    bool operator==(const Ident&) const = default;
+  };
+  static Ident IdOf(const Val& v) {
+    if (v.kind == Val::kImm) return {Ident::kConst, v.imm};
+    return {v.vn != 0 ? Ident::kNumber : Ident::kNone, v.vn};
+  }
+  // Checks passed over two operands: an index in bounds of an array, a
+  // signed or an unsigned division.
+  enum Proof : std::int64_t { kInBounds, kDivSafe, kDivUSafe };
+  struct Proven {
+    Ident x, y;
+    Proof proof;
+    bool operator==(const Proven&) const = default;
+  };
+  struct VnState {
+    std::vector<std::pair<std::array<std::int64_t, 4>, std::uint32_t>> ids;
+    std::vector<std::uint32_t> locals;  // caller local -> its value's number (0: none yet)
+    std::vector<std::pair<std::uint32_t, Facts>> facts;
+    std::vector<Proven> proven;
+  };
+  VnState vn_{};
+  std::uint32_t next_vn_ = 1;
+  std::vector<std::uint32_t> global_gen_{};  // global -> stores compiled so far
+  std::int64_t calls_ = 0;                   // calls and helper calls compiled so far
+
+  std::uint32_t Number(std::int64_t kind, std::int64_t x, std::int64_t y, std::int64_t z) {
+    const std::array<std::int64_t, 4> key{kind, x, y, z};
+    for (const auto& [k, n] : vn_.ids) {
+      if (k == key) return n;
+    }
+    vn_.ids.emplace_back(key, next_vn_);
+    return next_vn_++;
+  }
+  std::uint32_t Fresh() { return next_vn_++; }
+  // The number of `op` over its operands (0 when one is unnumbered);
+  // commutative ops sort their operands. The key's kind carries both
+  // operands' tags, so a number and a constant never collide.
+  std::uint32_t OpNumber(Op op, Ident x) {
+    if (x.tag == Ident::kNone) return 0;
+    return Number(kVnOp * 16 + x.tag, static_cast<std::int64_t>(op), x.value, 0);
+  }
+  std::uint32_t OpNumber(Op op, Ident x, Ident y, bool commutative) {
+    if (x.tag == Ident::kNone || y.tag == Ident::kNone) return 0;
+    if (commutative && std::pair(y.tag, y.value) < std::pair(x.tag, x.value)) std::swap(x, y);
+    return Number(kVnOp * 16 + x.tag * 4 + y.tag, static_cast<std::int64_t>(op), x.value,
+                  y.value);
+  }
+  // The depth of an entry below `limit` holding number n, or -1.
+  int FindVn(std::uint32_t n, std::size_t limit) const {
+    if (n == 0) return -1;
+    for (std::size_t d = std::min(limit, vs_.size()); d-- > 0;) {
+      if (vs_[d].vn == n && vs_[d].kind != Val::kCond) return static_cast<int>(d);
+    }
+    return -1;
+  }
+  // When an entry below the template's `pops` operands already holds
+  // number n, the operands are consumed and a copy of that entry pushed.
+  bool Reuse(std::uint32_t n, std::size_t pops) {
+    const int d = FindVn(n, vs_.size() - pops);
+    if (d < 0) return false;
+    Pops(pops);
+    DoneOps();
+    Push(Copy(static_cast<std::size_t>(d)));
+    return true;
+  }
+  // The facts about number n (null for an unnumbered value); the pointer
+  // is good until the next call.
+  Facts* FactsOf(std::uint32_t n) {
+    if (n == 0) return nullptr;
+    for (auto& [k, f] : vn_.facts) {
+      if (k == n) return &f;
+    }
+    return &vn_.facts.emplace_back(n, Facts{}).second;
+  }
+  // True when `proof` already holds for {x, y}; records it either way (the
+  // caller emits the check when it did not).
+  bool Proved(Ident x, Ident y, Proof proof) {
+    if (x.tag == Ident::kNone || y.tag == Ident::kNone) return false;
+    const Proven key{x, y, proof};
+    if (std::find(vn_.proven.begin(), vn_.proven.end(), key) != vn_.proven.end()) return true;
+    vn_.proven.push_back(key);
+    return false;
+  }
+  // What holds on both of two paths. Numbers are never reissued and the
+  // generation and call counters only grow in compile order, so an entry
+  // present in both states means the same value on both.
+  static void Meet(VnState& into, const VnState& other) {
+    std::erase_if(into.ids, [&](const auto& e) {
+      return std::find(other.ids.begin(), other.ids.end(), e) == other.ids.end();
+    });
+    for (std::size_t s = 0; s < into.locals.size(); ++s) {
+      if (into.locals[s] != other.locals[s]) into.locals[s] = 0;
+    }
+    std::erase_if(into.facts, [&](auto& e) {
+      const auto it = std::find_if(other.facts.begin(), other.facts.end(),
+                                   [&](const auto& o) { return o.first == e.first; });
+      if (it == other.facts.end()) return true;
+      Facts& f = e.second;
+      f.nonnull = f.nonnull && it->second.nonnull;
+      f.array = f.array && it->second.array;
+      if (f.elem != it->second.elem) f.elem = -1;
+      f.fields = std::min(f.fields, it->second.fields);
+      return false;
+    });
+    std::erase_if(into.proven, [&](const Proven& e) {
+      return std::find(other.proven.begin(), other.proven.end(), e) == other.proven.end();
+    });
+  }
+  // A join whose predecessors all come before it (not a loop head) starts
+  // from the meet of the states on its incoming edges; every other join
+  // starts from nothing. Splices keep their joins to themselves.
+  std::unordered_map<std::size_t, VnState> join_vn_{};
+  std::vector<char> loop_head_{};
+  // `last`: the block ends here (a fall-through into the join), so the
+  // state may be moved rather than copied.
+  void NoteEdge(std::size_t to, bool last = false) {
+    if (inl_fn_ != nullptr || to <= cur_pc_) return;
+    const auto it = join_vn_.find(to);
+    if (it != join_vn_.end()) {
+      Meet(it->second, vn_);
+    } else if (last) {
+      join_vn_.emplace(to, std::move(vn_));
+      vn_.locals.assign(static_cast<std::size_t>(fn.num_locals), 0);
+    } else {
+      join_vn_.emplace(to, vn_);
+    }
+  }
+  void JoinValues(std::size_t pc) {
+    const auto it = join_vn_.find(pc);
+    if (it == join_vn_.end()) return;
+    if (!loop_head_[pc]) vn_ = std::move(it->second);
+    join_vn_.erase(it);
+  }
+  void ForgetValues() {
+    vn_.ids.clear();
+    vn_.facts.clear();
+    vn_.proven.clear();
+    std::fill(vn_.locals.begin(), vn_.locals.end(), 0);
+  }
+  // Calls, host calls and helpers may write any global (a host through
+  // reentry or SetGlobal).
+  void ClobberGlobals() { ++calls_; }
 
   // --- locals and globals ----------------------------------------------------
   // A caller local reads as an alias (no code); a spliced callee's local is
   // an operand slot of the caller, so reading it copies that entry.
   Val ReadLocal(std::int64_t s) {
-    if (inl_fn_ == nullptr) return Val::Local(static_cast<int>(s));
+    if (inl_fn_ == nullptr) {
+      std::uint32_t& n = vn_.locals[static_cast<std::size_t>(s)];
+      if (n == 0) n = Fresh();
+      return Val::Local(static_cast<int>(s)).Numbered(n);
+    }
     return Copy(static_cast<std::size_t>(inl_local_base_ + s));
   }
   // A second value equal to vs_[d]: constants and aliases are shared,
@@ -1088,7 +1252,7 @@ struct Compiler {
     if (vs_[d].kind != Val::kReg && vs_[d].kind != Val::kSlot) return vs_[d];
     const Reg r = Alloc();
     Load(r, vs_[d]);  // after Alloc: it may have spilled this very entry
-    return Val::InReg(r);
+    return Val::InReg(r).Numbered(vs_[d].vn);
   }
   // Takes ownership of v.
   void WriteLocal(std::int64_t s, Val v) {
@@ -1097,7 +1261,7 @@ struct Compiler {
       if (v.kind == Val::kSlot || v.kind == Val::kCond) {  // a dying slot / the flags
         const Reg r = Alloc();
         Load(r, v);
-        v = Val::InReg(r);
+        v = Val::InReg(r).Numbered(v.vn);
       }
       Release(vs_[d]);
       vs_[d] = v;
@@ -1113,11 +1277,16 @@ struct Compiler {
       StoreVal(LOCALS, 8 * slot, v);
     }
     Release(v);
+    vn_.locals[static_cast<std::size_t>(slot)] = v.vn;
   }
   Val ReadGlobal(std::int64_t g) {
+    const std::uint32_t n =
+        Number(kVnGlobal, g, global_gen_[static_cast<std::size_t>(g)], calls_);
+    const int d = FindVn(n, vs_.size());
+    if (d >= 0) return Copy(static_cast<std::size_t>(d));
     const Reg r = Alloc();
     a.Load64(r, GLB, static_cast<std::int32_t>(8 * g));
-    return Val::InReg(r);
+    return Val::InReg(r).Numbered(n);
   }
 
   // --- side exits ----------------------------------------------------------
@@ -1162,18 +1331,20 @@ struct Compiler {
   // splice's own offset table (a target equal to the callee length means
   // "after the splice" — where kRet lands).
   void JmpPc(std::size_t to) {
+    NoteEdge(to);
     (inl_fn_ != nullptr ? inl_fixes_ : fixes).push_back({a.Jmp(), to});
   }
   void JccPc(Cc cc, std::size_t to) {
+    NoteEdge(to);
     (inl_fn_ != nullptr ? inl_fixes_ : fixes).push_back({a.Jcc(cc), to});
   }
 
-  // Commits sp_ = frame->base + num_locals + d into the ctx mailbox.
+  // Commits st->sp = frame->base + num_locals + d.
   void CommitSp(int d) {
     a.Load64(RAX, FRM, F.base);
     const std::int32_t add = fn.num_locals + d;
     if (add != 0) a.AluImm(ALU_ADD, RAX, add);
-    a.Store64(CTX, L.ctx_sp, RAX);
+    a.Store64(CTX, S.sp, RAX);
   }
 
   void SetFramePc(std::size_t pc) {
@@ -1218,34 +1389,34 @@ struct Compiler {
 
   // The retired ledger lives in r15 too: fuel and retired move in lockstep
   // (every charge and every give-back touches both by the same amount), so
-  // the prologue parks base = ctx->retired + r15 in the frame's spare [rsp]
+  // the prologue parks base = st->retired + r15 in the frame's spare [rsp]
   // slot and retired = base - r15 anywhere. Published at the epilogue and
   // before calls; re-based after, since a callee or host moved both.
   void EmitRetiredPublish() {  // clobbers rcx and flags
     a.Load64(RCX, RSP, 0);
     a.SubRR(RCX, FUEL);
-    a.Store64(CTX, L.ctx_retired, RCX);
+    a.Store64(CTX, S.retired, RCX);
   }
   void EmitRetiredRebase() {  // clobbers rcx and flags
-    a.Load64(RCX, CTX, L.ctx_retired);
+    a.Load64(RCX, CTX, S.retired);
     a.AddRR(RCX, FUEL);
     a.Store64(RSP, 0, RCX);
   }
-  // ctx->fuel <- r15 unless unlimited (the stored sentinel stays negative),
-  // ctx->retired <- its derived value. Clobbers rax, rcx and flags.
+  // st->fuel <- r15 unless unlimited (the stored sentinel stays negative),
+  // st->retired <- its derived value. Clobbers rax, rcx and flags.
   void EmitFuelSync() {
     EmitRetiredPublish();
-    a.Load64(RAX, CTX, L.ctx_fuel);
+    a.Load64(RAX, CTX, S.fuel);
     a.TestRR(RAX, RAX);
     const std::size_t unlimited = a.Jcc8(CC_S);
-    a.Store64(CTX, L.ctx_fuel, FUEL);
+    a.Store64(CTX, S.fuel, FUEL);
     a.PatchRel8(unlimited, a.pos());
   }
-  // r15 <- ctx->fuel (biased when unlimited), then re-base the ledger.
+  // r15 <- st->fuel (biased when unlimited), then re-base the ledger.
   // Touches only r15, rcx and flags, so call sites may run it before
   // testing a helper's status (eax) and result (rdx).
   void EmitFuelReload() {
-    a.Load64(FUEL, CTX, L.ctx_fuel);
+    a.Load64(FUEL, CTX, S.fuel);
     a.TestRR(FUEL, FUEL);
     const std::size_t limited = a.Jcc8(CC_NS);
     a.MovImm64(FUEL, kFuelUnlimitedBias);
@@ -1253,7 +1424,19 @@ struct Compiler {
     EmitRetiredRebase();
   }
 
+  // The prologue pushes the function's own frame — the interpreter's
+  // PushFrame, inlined with its checks folded: the depth limit and the
+  // reentry slack are one compare against st->frame_limit, the stack room
+  // one compare of sp against an immediate. A failed check leaves through
+  // the no-frame stub before anything is written, and the caller (the
+  // runner, or a native kCall site re-executing in the interpreter) gets
+  // the interpreter's own trap. The arguments already sit below sp and
+  // become the first locals; pinned locals are loaded (parameters) or
+  // zeroed in their registers, the rest are nulled in memory.
+  std::vector<std::size_t> no_frame_fixes_{};  // rel32 patches to the no-frame stub
   void EmitPrologue() {
+    const int np = fn.num_params;
+    const int nl = fn.num_locals;
     a.Push(RBP);
     a.Push(RBX);
     a.Push(R12);
@@ -1262,20 +1445,57 @@ struct Compiler {
     a.Push(R15);
     a.AluImm(ALU_SUB, RSP, 24);  // ledger base, splice flag; keeps rsp 16-aligned at calls
     a.MovRR(CTX, RDI);
-    a.Load64(GLB, CTX, L.ctx_globals);
-    a.Load64(RAX, CTX, L.ctx_nframes);
-    a.ImulImm(RAX, RAX, F.size);
-    a.AddRM(RAX, CTX, L.ctx_frames);
-    a.Lea(FRM, RAX, -F.size);  // rbp = &frames[nframes - 1]
-    a.Load64(RAX, FRM, F.base);
-    a.Load64(RCX, CTX, L.ctx_stack);
-    a.LeaSib(LOCALS, RCX, RAX, 3, 0);  // r13 = stack + 8*frame->base
-    EmitFuelReload();
-    LoadPins();
+    a.Load64(RAX, CTX, S.nframes);
+    a.CmpRM(RAX, CTX, S.frame_limit);
+    no_frame_fixes_.push_back(a.Jcc(CC_AE));  // call depth limit exceeded
+    a.Load64(RCX, CTX, S.sp);
+    // base + num_locals + max_stack > stack_slots, with base = sp - num_params.
+    const std::int64_t room = static_cast<std::int64_t>(stack_slots) - nl - fn.max_stack + np;
+    if (room < 0) {
+      no_frame_fixes_.push_back(a.Jmp());
+    } else if (FitsI32(room)) {
+      a.AluImm(ALU_CMP, RCX, static_cast<std::int32_t>(room));
+    } else {
+      a.MovImm64(RDX, static_cast<std::uint64_t>(room));
+      a.CmpRR(RCX, RDX);
+    }
+    no_frame_fixes_.push_back(a.Jcc(CC_A));  // VM stack overflow
+    a.ImulImm(FRM, RAX, F.size);
+    a.AddRM(FRM, CTX, S.frames);  // rbp = &frames[nframes]
+    a.MovImm64(RDX, reinterpret_cast<std::uint64_t>(&fn));
+    a.Store64(FRM, F.fn, RDX);
+    a.StoreImm32Sx(FRM, F.pc, 0);
+    if (np != 0) a.AluImm(ALU_SUB, RCX, np);
+    a.Store64(FRM, F.base, RCX);  // rcx = base from here on
+    a.Lea(RAX, RAX, 1);
+    a.Store64(CTX, S.nframes, RAX);
+    a.Load64(RDX, CTX, S.stack);
+    a.LeaSib(LOCALS, RDX, RCX, 3, 0);  // r13 = stack + 8*base
+    a.Load64(GLB, CTX, S.globals);
     if (std::any_of(fn.code.begin(), fn.code.end(),
                     [](const Insn& i) { return i.op == Op::kCall; })) {
       EmitSpliceFlag();
     }
+    if (nl - np > 16) {
+      a.XorRR32(RAX, RAX);
+      a.Lea(RDI, LOCALS, 8 * np);
+      a.MovImm32(RCX, static_cast<std::uint32_t>(nl - np));
+      a.U8(0xF3);  // rep stosq
+      a.U8(0x48);
+      a.U8(0xAB);
+    } else {
+      for (int i = np; i < nl; ++i) {
+        if (PinOf(i) == kNoReg) a.StoreImm32Sx(LOCALS, 8 * i, 0);
+      }
+    }
+    for (const int s : pinned_) {
+      if (s < np) {
+        a.Load64(PinOf(s), LOCALS, 8 * s);
+      } else {
+        a.XorRR32(PinOf(s), PinOf(s));  // its slot is written before anyone reads it
+      }
+    }
+    EmitFuelReload();
   }
 
   // A spliced call writes no frame, but the interpreter's PushFrame checks
@@ -1285,27 +1505,22 @@ struct Compiler {
   // splice site (patched in once every site is known) and parks the verdict
   // at [rsp+8]; each site tests it and re-executes its kCall in the
   // interpreter when it is clear, which traps exactly or, for a site with
-  // a looser limit, simply performs the call.
+  // a looser limit, simply performs the call. Runs with rax = nframes
+  // (this frame included) and rcx = frame->base.
   std::size_t splice_limit_at_ = 0;
   std::int64_t splice_limit_ = INT32_MAX;
   void EmitSpliceFlag() {
-    a.Load64(RCX, CTX, L.ctx_nframes);
-    a.MovRR(RAX, RCX);
-    a.SubRM(RAX, CTX, L.ctx_entry_frames);
-    a.AluImm(ALU_CMP, RAX, static_cast<std::int32_t>(std::min<std::size_t>(opts.max_call_depth, INT32_MAX)));
+    a.CmpRM(RAX, CTX, S.frame_limit);
     const std::size_t deep = a.Jcc8(CC_AE);
-    a.AluImm(ALU_CMP, RCX, static_cast<std::int32_t>(std::min<std::size_t>(frame_capacity, INT32_MAX)));
-    const std::size_t full = a.Jcc8(CC_E);
-    a.Load64(RAX, FRM, F.base);
-    a.U8(0x48);  // cmp rax, imm32 (long form, patched by PatchSpliceLimit)
-    a.U8(0x3D);
+    a.U8(0x48);  // cmp rcx, imm32 (long form, patched once every site is known)
+    a.U8(0x81);
+    a.ModReg(ALU_CMP, RCX);
     splice_limit_at_ = a.pos();
     a.U32(0);
     const std::size_t high = a.Jcc8(CC_A);
     a.StoreImm32Sx(RSP, 8, 1);
     const std::size_t done = a.Jmp8();
     a.PatchRel8(deep, a.pos());
-    a.PatchRel8(full, a.pos());
     a.PatchRel8(high, a.pos());
     a.StoreImm32Sx(RSP, 8, 0);
     a.PatchRel8(done, a.pos());
@@ -1314,21 +1529,30 @@ struct Compiler {
   void EmitEpilogue() {
     epilogue_off = a.pos();
     // Every exit funnels through here, so one ledger sync covers them all.
-    // rcx is dead on all paths; rax carries the exit status and is preserved.
+    // rcx is dead on all paths; rax carries the exit status and rdx a
+    // returned value, and both are preserved.
     EmitRetiredPublish();
-    a.Load64(RCX, CTX, L.ctx_fuel);
+    a.Load64(RCX, CTX, S.fuel);
     a.TestRR(RCX, RCX);
     const std::size_t unlimited = a.Jcc8(CC_S);
-    a.Store64(CTX, L.ctx_fuel, FUEL);
+    a.Store64(CTX, S.fuel, FUEL);
     a.PatchRel8(unlimited, a.pos());
-    a.AluImm(ALU_ADD, RSP, 24);
-    a.Pop(R15);
-    a.Pop(R14);
-    a.Pop(R13);
-    a.Pop(R12);
-    a.Pop(RBX);
-    a.Pop(RBP);
-    a.Ret();
+    const auto restore = [&] {
+      a.AluImm(ALU_ADD, RSP, 24);
+      a.Pop(R15);
+      a.Pop(R14);
+      a.Pop(R13);
+      a.Pop(R12);
+      a.Pop(RBX);
+      a.Pop(RBP);
+      a.Ret();
+    };
+    restore();
+    // The prologue's frame checks failed: nothing was written, no ledger
+    // moved.
+    for (const std::size_t at : no_frame_fixes_) a.PatchRel32(at, a.pos());
+    a.MovImm32(RAX, kJitNoFrame);
+    restore();
   }
 
   void EmitStubs() {
@@ -1357,18 +1581,18 @@ struct Compiler {
         // and the splice region makes no calls, so nframes is unchanged.
         a.Load64(RAX, FRM, F.base);
         a.Lea(RDX, RAX, e.inl_kk);  // callee base (slot units)
-        a.Load64(RCX, CTX, L.ctx_nframes);
+        a.Load64(RCX, CTX, S.nframes);
         a.ImulImm(RSI, RCX, F.size);
-        a.AddRM(RSI, CTX, L.ctx_frames);
+        a.AddRM(RSI, CTX, S.frames);
         a.MovImm64(RDI, reinterpret_cast<std::uint64_t>(e.inl_callee));
         a.Store64(RSI, F.fn, RDI);
         a.StoreImm32Sx(RSI, F.pc, static_cast<std::int32_t>(e.pc));
         a.Store64(RSI, F.base, RDX);
         a.Lea(RCX, RCX, 1);
-        a.Store64(CTX, L.ctx_nframes, RCX);
+        a.Store64(CTX, S.nframes, RCX);
         a.StoreImm32Sx(FRM, F.pc, e.inl_ret_pc);
         a.Lea(RDX, RDX, e.inl_callee->num_locals + e.depth);
-        a.Store64(CTX, L.ctx_sp, RDX);
+        a.Store64(CTX, S.sp, RDX);
       } else if (e.reexec) {
         CommitSp(e.depth);
         SetFramePc(e.pc);
@@ -1403,14 +1627,27 @@ struct Compiler {
     if (!Analyze()) return false;
     ChoosePins();
     const std::size_t n = fn.code.size();
+    vn_.locals.assign(static_cast<std::size_t>(fn.num_locals), 0);
+    global_gen_.assign(program.globals.size(), 0);
+    loop_head_.assign(n, 0);
+    for (std::size_t pc = 0; pc < n; ++pc) {
+      Eff e;
+      if (m_.depth[pc] >= 0 && EffectOf(program, fn.code[pc], e) && e.branch && e.target <= pc) {
+        loop_head_[e.target] = 1;
+      }
+    }
     pc_off.assign(n, -1);
+    a.code.reserve(32 * n + 512);  // templates average well under this per insn
     pc_map.emplace_back(0, 0);
     EmitPrologue();
     for (std::size_t pc = 0; pc < n; ++pc) {
       if (m_.depth[pc] < 0) continue;
       if (m_.leader[pc] && falls_ && pc > 0) GiveFuel(Slack(cur_pc_, pc));
+      const bool join = m_.leader[pc] && m_.target[pc];
+      if (join && falls_) NoteEdge(pc, /*last=*/true);  // the fall-through edge
       cur_pc_ = static_cast<std::uint32_t>(pc);
       EnterPc(m_.leader[pc], m_.target[pc], m_.depth[pc]);
+      if (join) JoinValues(pc);
       pc_off[pc] = static_cast<std::int64_t>(a.pos());
       pc_map.emplace_back(static_cast<std::uint32_t>(a.pos()), cur_pc_);
       if (m_.leader[pc]) EmitBlockAccounting(pc);
@@ -1448,16 +1685,6 @@ struct Compiler {
 // ---------------------------------------------------------------------------
 
 struct Jit::Impl {
-  static FrameOffsets ProbeFrame() {
-    static const VM::Frame frame{};
-    FrameOffsets f{};
-    f.fn = OffsetIn(frame, frame.fn);
-    f.pc = OffsetIn(frame, frame.pc);
-    f.base = OffsetIn(frame, frame.base);
-    f.size = static_cast<std::int32_t>(sizeof(VM::Frame));
-    return f;
-  }
-
   static std::unique_ptr<Jit> Build(VM& vm) {
     Program& program = vm.program_;
     const VmOptions& opts = vm.options_;
@@ -1473,16 +1700,17 @@ struct Jit::Impl {
     std::unique_ptr<Jit> jit(new Jit());
     const std::size_t nfns = program.functions.size();
     jit->compiled_.assign(nfns, false);
+    jit->names_.assign(nfns, nullptr);
+    for (std::size_t i = 0; i < nfns; ++i) {
+      jit->names_[i] = program.functions[i].name.c_str();
+    }
     // Sized once, never resized: kCall sites bake &entries_[i] into code.
     jit->entries_.assign(nfns, nullptr);
 
-    const Layout& layout = ProbeLayout();
-    const FrameOffsets frame_off = ProbeFrame();
-
-    // Shared deopt trampoline: an uncompiled callee "returns" kJitDeopt
-    // immediately, and the interpreter resumes at its freshly pushed frame.
+    // Shared trampoline: an uncompiled callee pushes no frame, and the
+    // calling kCall site re-executes in the interpreter, which runs it.
     Asm tramp;
-    tramp.MovImm32(RAX, kJitDeopt);
+    tramp.MovImm32(RAX, kJitNoFrame);
     tramp.Ret();
 
     const auto align16 = [](std::size_t n) { return (n + 15) & ~std::size_t{15}; };
@@ -1503,14 +1731,10 @@ struct Jit::Impl {
       Compiler c{program,
                  f,
                  opts,
-                 layout,
-                 frame_off,
                  jit->entries_.data(),
-                 reinterpret_cast<const void*>(&Jit::HelpPushFrame),
                  reinterpret_cast<const void*>(&Jit::HelpCallHost),
                  reinterpret_cast<const void*>(&Jit::HelpNewStruct),
                  reinterpret_cast<const void*>(&Jit::HelpNewArray),
-                 vm.frame_capacity_,
                  vm.stack_slots_};
       if (!c.Compile()) {
         ++jit->stats_.bailouts;
@@ -1592,9 +1816,13 @@ struct Jit::Impl {
 // exceptions must never cross them) and rethrown by the runner.
 // ---------------------------------------------------------------------------
 
-Jit::HelperResult Jit::HelpNewStruct(JitCtx* ctx, std::uint64_t struct_idx) {
-  VM& vm = *ctx->vm;
-  vm.sp_ = ctx->sp;  // the conservative root scan reads sp_
+// Native code committed sp (the conservative root scan reads it), the frame
+// pc, and exact ledgers (fuel() / instructions_retired(), which a host may
+// read or a reentrant Call extend) into the shared ExecState before calling
+// any of these; they work on it directly.
+
+JitResult Jit::HelpNewStruct(ExecState* st, std::uint64_t struct_idx) {
+  VM& vm = *st->vm;
   try {
     const auto& layout = vm.program_.structs[struct_idx];
     vm.MaybeCollect(static_cast<std::size_t>(layout.num_fields) * 8 + 64);
@@ -1606,10 +1834,8 @@ Jit::HelperResult Jit::HelpNewStruct(JitCtx* ctx, std::uint64_t struct_idx) {
   }
 }
 
-Jit::HelperResult Jit::HelpNewArray(JitCtx* ctx, std::uint64_t elem,
-                                    std::uint64_t length) {
-  VM& vm = *ctx->vm;
-  vm.sp_ = ctx->sp;
+JitResult Jit::HelpNewArray(ExecState* st, std::uint64_t elem, std::uint64_t length) {
+  VM& vm = *st->vm;
   try {
     vm.MaybeCollect(static_cast<std::size_t>(length) * 8 + 64);
     Object* object =
@@ -1621,49 +1847,21 @@ Jit::HelperResult Jit::HelpNewArray(JitCtx* ctx, std::uint64_t elem,
   }
 }
 
-Jit::HelperResult Jit::HelpCallHost(JitCtx* ctx, std::uint64_t import_idx) {
-  VM& vm = *ctx->vm;
+JitResult Jit::HelpCallHost(ExecState* st, std::uint64_t import_idx) {
+  VM& vm = *st->vm;
   const auto& import = vm.program_.host_imports[import_idx];
   const auto& host = vm.hosts_[import_idx];
   if (!host) {
     return {kJitDeopt, 0};  // unbound: deopt so the interpreter throws its trap
   }
-  // The ledgers are exact here (kCallHost ends its block), so a host reading
-  // fuel()/instructions_retired() — or a reentrant Call — sees interpreter-
-  // identical state.
-  vm.sp_ = ctx->sp;
-  vm.nframes_ = ctx->nframes;
-  vm.fuel_ = ctx->fuel;
-  vm.instructions_retired_ = ctx->retired;
   try {
     const Value ret =
-        host(vm, std::span<const Value>(vm.stack_ + vm.sp_,
-                                        static_cast<std::size_t>(import.arity)));
-    ctx->fuel = vm.fuel_;  // the host may SetFuel or burn fuel via reentry
-    ctx->retired = vm.instructions_retired_;
+        host(vm, std::span<const Value>(st->stack + st->sp, static_cast<std::size_t>(import.arity)));
     return {0, ret.bits};
   } catch (...) {
     vm.jit_pending_ = std::current_exception();
-    ctx->fuel = vm.fuel_;
-    ctx->retired = vm.instructions_retired_;
     return {kJitException, 0};
   }
-}
-
-std::uint64_t Jit::HelpPushFrame(JitCtx* ctx, std::uint64_t fn_idx) {
-  VM& vm = *ctx->vm;
-  vm.sp_ = ctx->sp;
-  vm.nframes_ = ctx->nframes;
-  try {
-    vm.PushFrame(vm.program_.functions[fn_idx], ctx->entry_frames);
-  } catch (...) {
-    // PushFrame checks before it mutates, so the re-executed kCall in the
-    // interpreter hits the identical trap with identical state.
-    return 1;
-  }
-  ctx->sp = vm.sp_;
-  ctx->nframes = vm.nframes_;
-  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -1695,10 +1893,10 @@ JitLocation Jit::Resolve(const void* native_pc) const {
   return {u.fn, entry == u.pcs.begin() ? 0 : (entry - 1)->second};
 }
 
-std::uint32_t Jit::Enter(JitCtx& ctx, int fn_index) const {
-  using NativeFn = std::uint32_t (*)(JitCtx*);
-  const void* entry = entries_[static_cast<std::size_t>(fn_index)];
-  return reinterpret_cast<NativeFn>(const_cast<void*>(entry))(&ctx);
+const char* Jit::FunctionName(int fn) const {
+  return fn >= 0 && static_cast<std::size_t>(fn) < names_.size()
+             ? names_[static_cast<std::size_t>(fn)]
+             : nullptr;
 }
 
 #else  // !GRAFTLAB_JIT_X64
@@ -1714,16 +1912,13 @@ std::unique_ptr<Jit> Jit::Compile(VM&) { return nullptr; }
 
 Jit::~Jit() = default;
 
-std::uint32_t Jit::Enter(JitCtx&, int) const { return kJitDeopt; }
-
 JitLocation Jit::Resolve(const void*) const { return {}; }
 
-Jit::HelperResult Jit::HelpNewStruct(JitCtx*, std::uint64_t) { return {kJitDeopt, 0}; }
-Jit::HelperResult Jit::HelpNewArray(JitCtx*, std::uint64_t, std::uint64_t) {
-  return {kJitDeopt, 0};
-}
-Jit::HelperResult Jit::HelpCallHost(JitCtx*, std::uint64_t) { return {kJitDeopt, 0}; }
-std::uint64_t Jit::HelpPushFrame(JitCtx*, std::uint64_t) { return 1; }
+const char* Jit::FunctionName(int) const { return nullptr; }
+
+JitResult Jit::HelpNewStruct(ExecState*, std::uint64_t) { return {kJitDeopt, 0}; }
+JitResult Jit::HelpNewArray(ExecState*, std::uint64_t, std::uint64_t) { return {kJitDeopt, 0}; }
+JitResult Jit::HelpCallHost(ExecState*, std::uint64_t) { return {kJitDeopt, 0}; }
 
 #endif  // GRAFTLAB_JIT_X64
 

@@ -12,12 +12,17 @@
 // [locals_base + 8*(L+d)] and no stack-pointer register exists in compiled
 // code — but values reach those slots lazily. Within a basic block the
 // compiler tracks where each operand lives (register, immediate, local
-// alias, flags) and the hottest locals of a loop live in registers for the
-// whole function; slots are written at block ends, before helper and
-// native calls, and by exit stubs. Safety checks are inlined (null,
-// element kind, bounds, divide); at sites the elision certificate proved
-// safe the `.nc` opcode forms are emitted natively with no check
-// instructions.
+// alias, flags) and numbers values by what computed them, so a repeated
+// global load, pure op or check is reused rather than redone; up to five
+// locals live in registers for the whole function. Slots are written at
+// block ends, before helper and native calls, and by exit stubs. Safety
+// checks are inlined (null, element kind, bounds, divide); at sites the
+// elision certificate proved safe the `.nc` opcode forms are emitted
+// natively with no check instructions.
+//
+// Native code works on the VM's execution state in place (ExecState, in
+// vm.h): entering it copies nothing, and each compiled function's prologue
+// pushes its own frame with the interpreter's checks.
 //
 // Fuel is charged ahead per region: one compare at each loop head, call
 // return, and entry covers the longest run to the next such point, and
@@ -31,14 +36,14 @@
 // the compile filter denied, a callee that failed to compile — side-exits
 // through a stub that first writes back its own deopt map (every value the
 // frame memory lacks at that point), then reconstructs the interpreter
-// frame (sp_ committed from the static depth, frame->pc set to the faulting
+// frame (sp committed from the static depth, frame->pc set to the faulting
 // instruction, ledgers corrected) and unwinds the whole native call chain
 // back to the runner, which resumes the interpreter on the same frame
 // stack — byte-identical to the frame an interpreted run would have there.
 // Trapping instructions are re-executed by the interpreter so the trap
 // message, the unwind path, and the ledgers come from the same code an
-// interpreted run uses. Host calls and allocations run through helpers that
-// commit VM state first; exceptions a helper observes are captured and
+// interpreted run uses. Host calls and allocations run through helpers
+// after native code commits sp and the ledgers; exceptions a helper observes are captured and
 // rethrown from the runner (native frames carry no unwind tables, so C++
 // exceptions must never cross them).
 //
@@ -62,6 +67,7 @@
 namespace minnow {
 
 class VM;
+struct ExecState;
 
 // Counters exported through ExecutionProfile -> graftd telemetry -> obslab.
 struct JitStats {
@@ -80,31 +86,20 @@ struct JitLocation {
 };
 
 // Status codes native code returns to the runner (and between compiled
-// frames). Values are fixed: they are baked into emitted code. Helpers
-// return 0 for "continue in native code".
+// frames), in rax; a returning function's value travels in rdx. Values are
+// fixed: they are baked into emitted code. Helpers return 0 for "continue
+// in native code".
 enum : std::uint32_t {
-  kJitFrameReturned = 1,  // callee frame returned to a compiled caller
-  kJitEntryReturned = 2,  // the entry frame returned; result in JitCtx::ret_bits
+  kJitFrameReturned = 1,  // the function returned; its value is JitResult::value
+  kJitNoFrame = 2,        // the prologue's frame checks failed; nothing was pushed
   kJitDeopt = 3,          // interpreter must resume at frames[nframes-1]
   kJitException = 4,      // a helper captured an exception; runner rethrows
 };
 
-// The view of VM state native code works through. One instance lives on the
-// runner's C++ stack per entry (so host-call reentry nests naturally); the
-// pointer travels in a callee-saved register. Helpers sync the authoritative
-// VM fields from this struct before doing interpreter-equivalent work and
-// sync back after. Standard-layout: offsets are baked into emitted code.
-struct JitCtx {
-  VM* vm = nullptr;
-  Value* stack = nullptr;
-  Value* globals = nullptr;
-  void* frames = nullptr;  // VM::Frame*
-  std::uint64_t nframes = 0;
-  std::uint64_t sp = 0;
-  std::int64_t fuel = 0;
-  std::uint64_t retired = 0;
-  std::uint64_t entry_frames = 0;
-  std::uint64_t ret_bits = 0;  // entry frame's return value
+// What native code and helpers return: {status, value} in rax:rdx.
+struct JitResult {
+  std::uint64_t status;
+  std::uint64_t value;
 };
 
 // Per-VM compiled code. Built once at load time by the VM constructor when
@@ -138,14 +133,32 @@ class Jit {
            compiled_[static_cast<std::size_t>(fn_index)];
   }
 
-  // Runs the compiled body of `fn_index` (which must be compiled) on the
-  // VM's current top frame, from pc 0. Returns one of the status codes
-  // above; `ctx` must already mirror the VM.
-  std::uint32_t Enter(JitCtx& ctx, int fn_index) const;
+  // Enters the compiled body of `fn_index` (which must be compiled) on the
+  // VM's execution state in place. Its arguments are the top num_params
+  // stack slots (sp already past them); the native prologue pushes the
+  // frame itself, with the interpreter's depth, capacity and stack-room
+  // checks, and returns kJitNoFrame without touching anything when one
+  // fails. While native code runs, Current() names this Jit on the calling
+  // thread (restored on return, so reentry nests).
+  JitResult Enter(ExecState& st, int fn_index) const {
+    const Jit* const outer = current_;
+    current_ = this;
+    const JitResult result =
+        reinterpret_cast<JitResult (*)(ExecState*)>(entries_[static_cast<std::size_t>(fn_index)])(&st);
+    current_ = outer;
+    return result;
+  }
+
+  // The Jit whose native code the calling thread is running, or null. Safe
+  // from a signal handler: one thread-local load.
+  static const Jit* Current() { return current_; }
 
   // Maps a native PC (a profiler sample, a fault address) back to bytecode.
   // Safe from a signal handler: no allocation, no locks.
   JitLocation Resolve(const void* native_pc) const;
+  // The name of compiled function `fn` (valid while the VM lives; signal-
+  // safe). Null for a function this Jit does not know.
+  const char* FunctionName(int fn) const;
 
   const JitStats& stats() const { return stats_; }
   void CountDeopt() { ++stats_.deopts; }
@@ -153,16 +166,14 @@ class Jit {
  private:
   Jit() = default;
 
-  // Out-of-line work compiled code calls into (SysV: ctx in rdi, operands in
-  // rsi/rdx). Results travel in rax:rdx — status 0 means continue natively.
-  struct HelperResult {
-    std::uint64_t status;
-    std::uint64_t value;
-  };
-  static HelperResult HelpNewStruct(JitCtx* ctx, std::uint64_t struct_idx);
-  static HelperResult HelpNewArray(JitCtx* ctx, std::uint64_t elem, std::uint64_t length);
-  static HelperResult HelpCallHost(JitCtx* ctx, std::uint64_t import_idx);
-  static std::uint64_t HelpPushFrame(JitCtx* ctx, std::uint64_t fn_idx);
+  // Out-of-line work compiled code calls into (SysV: the ExecState in rdi,
+  // operands in rsi/rdx). Results travel in rax:rdx — status 0 means
+  // continue natively.
+  static JitResult HelpNewStruct(ExecState* st, std::uint64_t struct_idx);
+  static JitResult HelpNewArray(ExecState* st, std::uint64_t elem, std::uint64_t length);
+  static JitResult HelpCallHost(ExecState* st, std::uint64_t import_idx);
+
+  inline static thread_local constinit const Jit* current_ = nullptr;
 
   struct Impl;
 
@@ -175,10 +186,11 @@ class Jit {
     std::vector<std::pair<std::uint32_t, std::uint32_t>> pcs;
   };
   std::vector<UnitMap> units_;
-  std::vector<bool> compiled_;
-  // Per-function native entry (or the shared deopt trampoline). kCall sites
-  // load through this table, so compilation order never matters.
-  std::vector<const void*> entries_;
+  std::vector<char> compiled_;
+  // Per-function native entry (or the shared no-frame trampoline). kCall
+  // sites load through this table, so compilation order never matters.
+  std::vector<void*> entries_;
+  std::vector<const char*> names_;  // by function index
   std::uint8_t* arena_ = nullptr;
   std::size_t arena_size_ = 0;
   JitStats stats_;

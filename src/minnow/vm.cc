@@ -97,12 +97,14 @@ VM::VM(Program program, const VmOptions& options)
              (options.profile_opcodes ? (kNumOps + 2) * kNumOps * sizeof(std::uint64_t) : 0) +
              256),
       hosts_(program_.host_imports.size()),
-      globals_(program_.globals.size()),
-      fuel_(options.fuel) {
-  stack_ = arena_.NewArray<Value>(options.stack_slots);
+      globals_(program_.globals.size()) {
+  st_.vm = this;
+  st_.stack = arena_.NewArray<Value>(options.stack_slots);
+  st_.globals = globals_.data();
+  st_.fuel = options.fuel;
   stack_slots_ = options.stack_slots;
   frame_capacity_ = options.max_call_depth + kReentrySlack;
-  frames_ = arena_.NewArray<Frame>(frame_capacity_);
+  st_.frames = arena_.NewArray<Frame>(frame_capacity_);
   if (options.profile_opcodes) {
     op_counts_ = arena_.NewArray<std::uint64_t>(kNumOps);
     pair_counts_ = arena_.NewArray<std::uint64_t>((kNumOps + 1) * kNumOps);
@@ -172,20 +174,27 @@ int VM::FunctionIndex(const std::string& name) const {
 }
 
 Value VM::CallIndex(int fn_index, std::span<const Value> args) {
+  // The elision proof's global invariants assume initialized globals; a
+  // certified program may not run anything before RunInit.
+  if (fn_index < 0 || static_cast<std::size_t>(fn_index) >= program_.functions.size() ||
+      static_cast<int>(args.size()) !=
+          program_.functions[static_cast<std::size_t>(fn_index)].num_params ||
+      (program_.elision.attached && !init_ran_)) [[unlikely]] {
+    RefuseCall(fn_index, args.size());
+  }
+  return Execute(fn_index, args);
+}
+
+void VM::RefuseCall(int fn_index, std::size_t nargs) const {
   if (fn_index < 0 || static_cast<std::size_t>(fn_index) >= program_.functions.size()) {
     throw std::invalid_argument("function index out of range");
   }
   const auto& fn = program_.functions[static_cast<std::size_t>(fn_index)];
-  if (static_cast<int>(args.size()) != fn.num_params) {
+  if (static_cast<int>(nargs) != fn.num_params) {
     throw std::invalid_argument("'" + fn.name + "' expects " + std::to_string(fn.num_params) +
                                 " arguments");
   }
-  // The elision proof's global invariants assume initialized globals; a
-  // certified program may not run anything before RunInit.
-  if (program_.elision.attached && !init_ran_) {
-    throw Trap("certified program called before RunInit");
-  }
-  return Execute(fn_index, args);
+  throw Trap("certified program called before RunInit");
 }
 
 void VM::MaybeCollect(std::size_t incoming_bytes) {
@@ -205,8 +214,8 @@ void VM::EnumerateRoots(Heap& heap) {
     }
   }
   // Conservative: every live stack slot.
-  for (std::size_t i = 0; i < sp_; ++i) {
-    void* candidate = reinterpret_cast<void*>(stack_[i].bits);
+  for (std::size_t i = 0; i < st_.sp; ++i) {
+    void* candidate = reinterpret_cast<void*>(st_.stack[i].bits);
     if (candidate != nullptr && heap.IsObject(candidate)) {
       heap.Mark(static_cast<Object*>(candidate));
     }
@@ -291,10 +300,10 @@ std::vector<std::pair<std::string, std::uint64_t>> VM::OpcodePairCounts(std::siz
 }
 
 void VM::PushFrame(const FunctionCode& fn, std::size_t entry_frames) {
-  if (nframes_ - entry_frames >= options_.max_call_depth || nframes_ == frame_capacity_) {
+  if (st_.nframes - entry_frames >= options_.max_call_depth || st_.nframes == frame_capacity_) {
     throw Trap("call depth limit exceeded");
   }
-  const std::size_t base = sp_ - static_cast<std::size_t>(fn.num_params);
+  const std::size_t base = st_.sp - static_cast<std::size_t>(fn.num_params);
   const std::size_t needed =
       static_cast<std::size_t>(fn.num_locals) + static_cast<std::size_t>(fn.max_stack);
   if (base + needed > stack_slots_) {
@@ -303,80 +312,83 @@ void VM::PushFrame(const FunctionCode& fn, std::size_t entry_frames) {
   // The args already sit at base..base+num_params; null the rest.
   for (std::size_t i = static_cast<std::size_t>(fn.num_params);
        i < static_cast<std::size_t>(fn.num_locals); ++i) {
-    stack_[base + i] = Value::Null();
+    st_.stack[base + i] = Value::Null();
   }
-  sp_ = base + static_cast<std::size_t>(fn.num_locals);
-  frames_[nframes_++] = Frame{&fn, 0, base};
+  st_.sp = base + static_cast<std::size_t>(fn.num_locals);
+  st_.frames[st_.nframes++] = Frame{&fn, 0, base};
 }
 
 Value VM::Execute(int fn_index, std::span<const Value> args) {
-  const std::size_t entry_sp = sp_;
-  const std::size_t entry_frames = nframes_;
+  const std::size_t entry_sp = st_.sp;
+  const std::size_t entry_frames = st_.nframes;
+  if (entry_sp + args.size() > stack_slots_) [[unlikely]] {
+    throw Trap("VM stack overflow");  // nothing written yet
+  }
+  for (const Value& arg : args) {
+    st_.stack[st_.sp++] = arg;
+  }
+  if (jit_ != nullptr && jit_->compiled(fn_index)) {
+    // Native code pushes its own frame over the arguments. The depth limit
+    // is relative to this entry; a host that reenters sets its own, and
+    // this one comes back when it returns.
+    const std::uint64_t outer_limit = st_.frame_limit;
+    st_.frame_limit = std::min(entry_frames + options_.max_call_depth, frame_capacity_);
+    const JitResult result = jit_->Enter(st_, fn_index);
+    st_.frame_limit = outer_limit;
+    if (result.status == kJitFrameReturned) [[likely]] {
+      st_.sp = entry_sp;
+      return Value{result.value};
+    }
+    return FinishJit(fn_index, result.status, entry_sp, entry_frames);
+  }
+  return Interpret(&program_.functions[static_cast<std::size_t>(fn_index)], entry_sp,
+                   entry_frames);
+}
+
+Value VM::Interpret(const FunctionCode* callee, std::size_t entry_sp, std::size_t entry_frames) {
   try {
-    const auto& fn = program_.functions[static_cast<std::size_t>(fn_index)];
-    if (sp_ + args.size() > stack_slots_) {
-      throw Trap("VM stack overflow");
-    }
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      stack_[sp_ + i] = args[i];
-    }
-    sp_ += args.size();
-    PushFrame(fn, entry_frames);
-    if (jit_ != nullptr) {
-      return RunJit(fn_index, entry_frames);
+    if (callee != nullptr) {
+      PushFrame(*callee, entry_frames);
     }
     return threaded_ ? RunThreaded(entry_frames) : RunSwitch(entry_frames);
   } catch (...) {
     // Unwind to the caller's state so the VM stays usable after a trap.
-    nframes_ = entry_frames;
-    sp_ = entry_sp;
+    st_.nframes = entry_frames;
+    st_.sp = entry_sp;
     throw;
   }
 }
 
-Value VM::RunJit(int fn_index, std::size_t entry_frames) {
-  if (jit_->compiled(fn_index)) {
-    // ctx is authoritative for the mutable registers of execution while
-    // native code runs; the entry frame was already pushed by Execute.
-    JitCtx ctx;
-    ctx.vm = this;
-    ctx.stack = stack_;
-    ctx.globals = globals_.data();
-    ctx.frames = frames_;
-    ctx.nframes = nframes_;
-    ctx.sp = sp_;
-    ctx.fuel = fuel_;
-    ctx.retired = instructions_retired_;
-    ctx.entry_frames = entry_frames;
-    const std::uint32_t status = jit_->Enter(ctx, fn_index);
-    nframes_ = ctx.nframes;
-    sp_ = ctx.sp;
-    fuel_ = ctx.fuel;
-    instructions_retired_ = ctx.retired;
-    if (status == kJitEntryReturned) {
-      return Value{ctx.ret_bits};
-    }
-    if (status == kJitException) {
-      std::exception_ptr pending = std::move(jit_pending_);
-      jit_pending_ = nullptr;
-      std::rethrow_exception(pending);
-    }
-    // kJitDeopt: native code reconstructed interpreter frame state (pc at the
-    // instruction to re-execute, sp committed, ledgers corrected). Deopt is
-    // wholesale — the rest of this entry runs interpreted, which keeps the
-    // exit protocol trivial and the interpreter the single source of truth
-    // for every slow path.
-    jit_->CountDeopt();
+Value VM::FinishJit(int fn_index, std::uint64_t status, std::size_t entry_sp,
+                    std::size_t entry_frames) {
+  if (status == kJitException) {
+    st_.nframes = entry_frames;
+    st_.sp = entry_sp;
+    std::exception_ptr pending = std::move(jit_pending_);
+    jit_pending_ = nullptr;
+    std::rethrow_exception(pending);
   }
-  return threaded_ ? RunThreaded(entry_frames) : RunSwitch(entry_frames);
+  if (status == kJitNoFrame) {
+    // The prologue's frame checks failed before it wrote anything; the
+    // interpreter's PushFrame raises the identical trap.
+    return Interpret(&program_.functions[static_cast<std::size_t>(fn_index)], entry_sp,
+                     entry_frames);
+  }
+  // kJitDeopt: native code reconstructed interpreter frame state (pc at the
+  // instruction to re-execute, sp committed, ledgers corrected). Deopt is
+  // wholesale — the rest of this entry runs interpreted, which keeps the
+  // exit protocol trivial and the interpreter the single source of truth
+  // for every slow path.
+  jit_->CountDeopt();
+  return Interpret(nullptr, entry_sp, entry_frames);
 }
 
 // Shared per-instruction bookkeeping: retire, charge fuel, profile. `ip` must
 // already point at the fetched instruction.
 #define GRAFTLAB_VM_PRELUDE()                                          \
   do {                                                                 \
-    ++instructions_retired_;                                           \
-    if (fuel_ >= 0 && fuel_-- == 0) {                                  \
+    ++st_.retired;                                                     \
+    if (st_.fuel >= 0 && st_.fuel-- == 0) {                            \
       throw Trap("fuel exhausted: graft preempted");                   \
     }                                                                  \
     if (op_counts_ != nullptr) {                                       \
@@ -388,11 +400,11 @@ Value VM::RunJit(int fn_index, std::size_t entry_frames) {
   } while (0)
 
 Value VM::RunSwitch(std::size_t entry_frames) {
-  Frame* frame = &frames_[nframes_ - 1];
+  Frame* frame = &st_.frames[st_.nframes - 1];
   const Insn* code = frame->fn->code.data();
   std::size_t pc = frame->pc;
-  Value* const stack = stack_;
-  std::size_t sp = sp_;
+  Value* const stack = st_.stack;
+  std::size_t sp = st_.sp;
   std::size_t prev_op = kNumOps;  // profile sentinel: no predecessor yet
   const Insn* ip;
 
@@ -409,7 +421,11 @@ Value VM::RunSwitch(std::size_t entry_frames) {
   }
 }
 
-Value VM::RunThreaded(std::size_t entry_frames) {
+// The threaded loop's indirect branches are sensitive to code alignment: a
+// 48-byte shift of this function's start (from unrelated code growing ahead
+// of it) measured 5-8% on interpreted md5. A fixed cache-line start keeps
+// its layout independent of what precedes it in the binary.
+[[gnu::aligned(64)]] Value VM::RunThreaded(std::size_t entry_frames) {
 #if GRAFTLAB_VM_COMPUTED_GOTO
   // One label per opcode, generated from the same X-macro as the enum, so
   // the table cannot drift out of order.
@@ -420,11 +436,11 @@ Value VM::RunThreaded(std::size_t entry_frames) {
   };
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kNumOps);
 
-  Frame* frame = &frames_[nframes_ - 1];
+  Frame* frame = &st_.frames[st_.nframes - 1];
   const Insn* code = frame->fn->code.data();
   std::size_t pc = frame->pc;
-  Value* const stack = stack_;
-  std::size_t sp = sp_;
+  Value* const stack = st_.stack;
+  std::size_t sp = st_.sp;
   std::size_t prev_op = kNumOps;
   const Insn* ip;
 

@@ -44,6 +44,33 @@ class VM;
 class Jit;
 struct JitStats;
 
+// One activation record: the function, its resume pc, and where its locals
+// start in the operand stack.
+struct Frame {
+  const FunctionCode* fn;
+  std::size_t pc;
+  std::size_t base;  // locals start in ExecState::stack
+};
+
+// The VM's execution state, in one place. The interpreter loops and native
+// code (jit.h) both work on this struct in place — native code holds its
+// address in a register and reads and writes the fields at fixed offsets —
+// so entering or leaving compiled code copies nothing. Standard-layout:
+// the offsets are baked into emitted code.
+struct ExecState {
+  VM* vm = nullptr;
+  Value* stack = nullptr;    // VmOptions::stack_slots entries
+  Value* globals = nullptr;  // one per Program global
+  Frame* frames = nullptr;
+  std::uint64_t nframes = 0;
+  std::uint64_t sp = 0;  // first free stack slot
+  std::int64_t fuel = -1;
+  std::uint64_t retired = 0;
+  // Per entry, set by the runner: a frame push at or past this count trips
+  // the call-depth limit (min(entry frames + max_call_depth, capacity)).
+  std::uint64_t frame_limit = 0;
+};
+
 // A kernel function exposed to extension code. Receives the argument slots;
 // must return a Value (ignored for void imports).
 using HostFn = std::function<Value(VM&, std::span<const Value>)>;
@@ -95,6 +122,9 @@ class VM : public Heap::RootProvider {
  public:
   explicit VM(Program program, const VmOptions& options = VmOptions{});
   ~VM() override;  // out of line: jit.h stays a vm.cc implementation detail
+  // Native code and the heap hold pointers into this object.
+  VM(const VM&) = delete;
+  VM& operator=(const VM&) = delete;
 
   // Binds a host import by name. Every import must be bound before Run/Call;
   // unbound imports trap on first use.
@@ -119,8 +149,8 @@ class VM : public Heap::RootProvider {
   int FunctionIndex(const std::string& name) const;
 
   // --- fuel / preemption ---
-  void SetFuel(std::int64_t fuel) { fuel_ = fuel; }
-  std::int64_t fuel() const { return fuel_; }
+  void SetFuel(std::int64_t fuel) { st_.fuel = fuel; }
+  std::int64_t fuel() const { return st_.fuel; }
 
   // --- host-side heap helpers ---
   Object* NewByteArray(std::span<const std::uint8_t> data);
@@ -146,7 +176,10 @@ class VM : public Heap::RootProvider {
   void EnumerateRoots(Heap& heap) override;
 
   // Statistics.
-  std::uint64_t instructions_retired() const { return instructions_retired_; }
+  std::uint64_t instructions_retired() const { return st_.retired; }
+  // The execution state (stack depth, frame count, ledgers), read-only:
+  // after a call returns or traps it is back at the caller's.
+  const ExecState& exec_state() const { return st_; }
 
   // True when this build carries the computed-goto loop.
   static bool ThreadedDispatchAvailable();
@@ -177,18 +210,21 @@ class VM : public Heap::RootProvider {
  private:
   friend class Jit;  // the JIT compiles against — and deopts into — VM state
 
-  struct Frame {
-    const FunctionCode* fn;
-    std::size_t pc;
-    std::size_t base;  // locals start in stack_
-  };
-
+  // CallIndex's refusals (range, arity, RunInit), off its fast path.
+  [[noreturn, gnu::cold, gnu::noinline]] void RefuseCall(int fn_index, std::size_t nargs) const;
+  // Pushes the arguments and runs the entry: natively when compiled (the
+  // native prologue pushes the frame), else in the interpreter.
   Value Execute(int fn_index, std::span<const Value> args);
+  // Interprets the entry, after pushing `callee`'s frame when non-null;
+  // unwinds to the entry state on a trap.
+  Value Interpret(const FunctionCode* callee, std::size_t entry_sp, std::size_t entry_frames);
+  // Every native return but a plain one: a captured exception, a failed
+  // frame check, or a deopt the interpreter finishes on the frame state
+  // native code reconstructed.
+  [[gnu::noinline]] Value FinishJit(int fn_index, std::uint64_t status, std::size_t entry_sp,
+                                    std::size_t entry_frames);
   Value RunSwitch(std::size_t entry_frames);
   Value RunThreaded(std::size_t entry_frames);
-  // Runs the entry natively when compiled; on deopt the interpreter finishes
-  // the entry on the frame state native code reconstructed.
-  Value RunJit(int fn_index, std::size_t entry_frames);
   // Moves the top num_params stack slots into a fresh callee frame.
   void PushFrame(const FunctionCode& fn, std::size_t entry_frames);
   void MaybeCollect(std::size_t incoming_bytes);
@@ -196,18 +232,13 @@ class VM : public Heap::RootProvider {
   Program program_;
   VmOptions options_;
   Heap heap_;
-  envs::Arena arena_;        // backs stack_, frames_, and the profile tables
-  Value* stack_ = nullptr;   // options_.stack_slots entries
+  envs::Arena arena_;  // backs the stack, the frames, and the profile tables
   std::size_t stack_slots_ = 0;
-  std::size_t sp_ = 0;       // first free slot
-  Frame* frames_ = nullptr;  // frame_capacity_ entries
   std::size_t frame_capacity_ = 0;
-  std::size_t nframes_ = 0;
   std::vector<HostFn> hosts_;  // by import index
-  std::vector<Value> globals_;
+  std::vector<Value> globals_;  // storage behind st_.globals; never resized
   std::vector<Object*> pinned_;
-  std::int64_t fuel_ = -1;
-  std::uint64_t instructions_retired_ = 0;
+  ExecState st_;
   bool init_ran_ = false;
   bool threaded_ = false;
   // Native code (null unless kJit compiled something) and the exception a

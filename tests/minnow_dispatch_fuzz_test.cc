@@ -193,7 +193,12 @@ class ProgramGen {
   // `heap` adds arrays, a nullable struct local, and (possibly unguarded,
   // possibly out-of-bounds) accesses to the mix — the shapes the check
   // eliding pass reasons about, including the ones it must refuse.
-  explicit ProgramGen(std::uint32_t seed, bool heap = false) : rng_(seed), heap_(heap) {}
+  // `repeats` adds two int globals and a global array, and straight-line
+  // statements that compute the same global load, element load or
+  // division twice — sometimes with a store to that global or element in
+  // between — the shapes the JIT's value numbering reuses or must not.
+  explicit ProgramGen(std::uint32_t seed, bool heap = false, bool repeats = false)
+      : rng_(seed), heap_(heap), repeats_(repeats) {}
 
   std::string Generate() {
     visible_ = 3;  // the v0, v1, v2 parameters
@@ -224,10 +229,14 @@ class ProgramGen {
     }
     const int statements = 2 + static_cast<int>(rng_() % 5);
     for (int i = 0; i < statements; ++i) {
-      body += Statement(2);
+      body += repeats_ && rng_() % 2 == 0 ? RepeatStatement() : Statement(2);
     }
     body += "  return " + Expr(3) + ";\n";
     std::string prologue = heap_ ? "struct Box { a: int; b: Box; }\n" : "";
+    if (repeats_) {
+      prologue += "var g0: int = " + std::to_string(Constant()) + ";\nvar g1: int = " +
+                  std::to_string(Constant()) + ";\nvar ga: int[] = new int[4];\n";
+    }
     return prologue + "fn f(v0: int, v1: int, v2: int) -> int {\n" + body + "}\n";
   }
 
@@ -328,6 +337,52 @@ class ProgramGen {
     }
   }
 
+  std::string Global() { return "g" + std::to_string(rng_() % 2); }
+
+  // An element of the global array: masked in bounds, or a raw (possibly
+  // trapping) index.
+  std::string GlobalElem() {
+    return rng_() % 3 == 0 ? "ga[" + Var() + "]" : "ga[(" + Var() + " & 3)]";
+  }
+
+  // A subexpression a repeat statement computes twice: global loads,
+  // element loads and divisions (which may trap on zero or overflow).
+  std::string RepeatExpr() {
+    switch (rng_() % 6) {
+      case 0: return "(" + Global() + " / " + Var() + ")";
+      case 1: return "(" + Var() + " % " + Global() + ")";
+      case 2: return "(" + Global() + " + " + Var() + ")";
+      case 3: return "(" + Global() + " * " + Global() + ")";
+      case 4: return GlobalElem();
+      default: return "(" + GlobalElem() + " / " + Global() + ")";
+    }
+  }
+
+  // Straight-line value-numbering shapes: the same expression twice in one
+  // statement, and a global or element store between two reads of it.
+  std::string RepeatStatement() {
+    const std::string e = RepeatExpr();
+    switch (rng_() % 5) {
+      case 0:
+        return "  " + Var() + " = " + e + " + " + e + ";\n";
+      case 1:
+        return "  " + Var() + " = (" + e + " - " + Var() + ") ^ (" + e + " - " + Var() + ");\n";
+      case 2: {  // a global store between two reads
+        const std::string v = Var();
+        return "  " + v + " = " + e + ";\n  " + Global() + " = " + Expr(1) + ";\n  " + v +
+               " = " + v + " - " + e + ";\n";
+      }
+      case 3: {  // an element store between two loads of that element
+        const std::string v = Var();
+        const std::string i = "(" + Var() + " & 3)";
+        return "  " + v + " = ga[" + i + "] + " + e + ";\n  ga[" + i + "] = " + Expr(1) +
+               ";\n  " + v + " = " + v + " * ga[" + i + "] + " + e + ";\n";
+      }
+      default:  // a repeated division over a repeated subexpression
+        return "  " + Var() + " = " + Var() + " / " + e + " + " + Var() + " % " + e + ";\n";
+    }
+  }
+
   std::string Statement(int depth) {
     if (heap_ && arrays_ > 0 && rng_() % 3 == 0) {
       return HeapStatement(depth > 0 ? depth : 1);
@@ -354,6 +409,7 @@ class ProgramGen {
 
   std::mt19937 rng_;
   bool heap_;
+  bool repeats_;
   int visible_;
   int counters_;
   int arrays_ = 0;
@@ -636,6 +692,45 @@ TEST(ElisionFuzz, CheckedAndElidedAgreeOnResultsTrapsAndFuel) {
 // assertion is against the elision certificate's static counters (and the
 // absence of the unchecked opcode), then against runtime behavior: the
 // retained check must still fire, identically, in the elided build.
+
+// Straight-line repeats — a global, an element or a quotient computed
+// twice, with and without a store to it in between — under every
+// configuration against the reference, fuel ledger included: the JIT reuses
+// values and skips checks it already ran, and neither may change a result,
+// a trap, or the instruction the trap lands on.
+TEST(ValueNumberingFuzz, RepeatedLoadsAndDivisionsAgreeWithTheReference) {
+  int programs = 300;  // local default; CI sets GRAFTLAB_FUZZ_PROGRAMS=10000
+  if (const char* env = std::getenv("GRAFTLAB_FUZZ_PROGRAMS")) {
+    programs = std::atoi(env);
+  }
+  const std::initializer_list<std::int64_t> arg_sets[] = {
+      {0, 1, -1},
+      {7, -3, std::numeric_limits<std::int64_t>::min()},
+  };
+  for (int p = 0; p < programs; ++p) {
+    ProgramGen gen(0x7A1E0 + p, /*heap=*/p % 2 == 1, /*repeats=*/true);
+    const std::string source = gen.Generate();
+    const Program compiled = Compile(source);
+    for (const auto& args : arg_sets) {
+      const Outcome want = RunConfig(compiled, {DispatchMode::kSwitch, false, false}, "f", args);
+      for (const bool fuse : {false, true}) {
+        for (const bool elide : {false, true}) {
+          const Config jit{DispatchMode::kJit, false, fuse, elide};
+          const Config interp{DispatchMode::kSwitch, false, fuse, elide};
+          const Outcome got = RunConfig(compiled, jit, "f", args);
+          const Outcome same_code = RunConfig(compiled, interp, "f", args);
+          ASSERT_TRUE(want.AgreesWith(got))
+              << "program " << p << " [" << jit.Name() << "]: got " << Describe(got)
+              << ", reference " << Describe(want) << "\nsource:\n"
+              << source;
+          ASSERT_EQ(same_code.retired, got.retired)
+              << "program " << p << " [" << jit.Name() << "]: fuel ledger diverged\nsource:\n"
+              << source;
+        }
+      }
+    }
+  }
+}
 
 void ExpectCheckedElidedAgree(const char* source, const char* fn,
                               std::initializer_list<std::int64_t> args, const char* label,

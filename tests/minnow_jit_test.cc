@@ -20,6 +20,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <ostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -1023,6 +1028,317 @@ TEST(JitTier2, ReentrantSetFuelLeavesExactRetired) {
 }
 
 // --- address resolution: native PCs back to {function, bytecode pc} ---
+
+// --- Entry path -----------------------------------------------------------
+//
+// A call into a compiled function enters native code on the VM's own
+// execution state, and the native prologue pushes the frame itself. These
+// cases hit every refusal and unwind on the way in or out, under the
+// interpreter and under the JIT, and compare everything an observer can
+// see — including the stack depth and frame count the VM is left at.
+
+struct EntryOutcome {
+  bool trapped = false;
+  std::string message;
+  std::int64_t result = 0;
+  std::uint64_t retired = 0;
+  std::int64_t fuel = 0;
+  std::uint64_t sp = 0;
+  std::uint64_t nframes = 0;
+
+  bool operator==(const EntryOutcome& other) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const EntryOutcome& o) {
+  return os << "trapped=" << o.trapped << " '" << o.message << "' result=" << o.result
+            << " retired=" << o.retired << " fuel=" << o.fuel << " sp=" << o.sp
+            << " nframes=" << o.nframes;
+}
+
+// Builds a VM with `make(mode)` and runs `call` on it; a trap or a refused
+// call (std::invalid_argument) is part of the outcome.
+template <typename Make, typename Call>
+EntryOutcome RunEntry(DispatchMode mode, const Make& make, const Call& call) {
+  const std::unique_ptr<VM> vm = make(mode);
+  EntryOutcome out;
+  try {
+    out.result = call(*vm);
+  } catch (const std::exception& e) {
+    out.trapped = true;
+    out.message = e.what();
+  }
+  out.retired = vm->instructions_retired();
+  out.fuel = vm->fuel();
+  out.sp = vm->exec_state().sp;
+  out.nframes = vm->exec_state().nframes;
+  return out;
+}
+
+template <typename Make, typename Call>
+EntryOutcome ExpectSameEntry(const Make& make, const Call& call) {
+  const EntryOutcome interp = RunEntry(DispatchMode::kDefault, make, call);
+  const EntryOutcome jit = RunEntry(DispatchMode::kJit, make, call);
+  EXPECT_EQ(interp, jit) << "interp: " << interp << "\njit:    " << jit;
+  EXPECT_EQ(interp.sp, 0u);
+  EXPECT_EQ(interp.nframes, 0u);
+  return interp;
+}
+
+// A VM factory over one program: options tweaked by `tune`, hosts bound by
+// `bind`, RunInit run unless `init` is false.
+auto Factory(Program program, std::function<void(VmOptions&)> tune = {},
+             std::function<void(VM&)> bind = {}, bool init = true) {
+  return [=](DispatchMode mode) {
+    VmOptions options;
+    options.dispatch = mode;
+    options.fuel = 100000;
+    if (tune) tune(options);
+    auto vm = std::make_unique<VM>(program, options);
+    if (bind) bind(*vm);
+    if (init) vm->RunInit();
+    return vm;
+  };
+}
+
+TEST(JitEntry, ArityMismatchIsRefusedBeforeAnyState) {
+  const auto make = Factory(minnow::Compile("fn f(a: int) -> int { return a + 1; }"));
+  const EntryOutcome out = ExpectSameEntry(
+      make, [](VM& vm) { return vm.Call("f", {Value::Int(1), Value::Int(2)}).AsInt(); });
+  EXPECT_TRUE(out.trapped);
+  EXPECT_NE(out.message.find("expects 1"), std::string::npos) << out.message;
+}
+
+TEST(JitEntry, CertifiedProgramCalledBeforeRunInitIsRefused) {
+  const auto make = Factory(
+      minnow::Compile("var a: int[] = new int[4];\nfn f(i: int) -> int { return a[i & 3]; }"),
+      [](VmOptions& o) { o.elide_checks = true; }, {}, /*init=*/false);
+  const EntryOutcome out =
+      ExpectSameEntry(make, [](VM& vm) { return vm.Call("f", {Value::Int(1)}).AsInt(); });
+  EXPECT_EQ(out.message, "certified program called before RunInit");
+  // The same VM runs once RunInit has.
+  ExpectSameEntry(make, [](VM& vm) {
+    EXPECT_THROW(vm.Call("f", {Value::Int(1)}), Trap);
+    vm.RunInit();
+    return vm.Call("f", {Value::Int(6)}).AsInt();
+  });
+}
+
+TEST(JitEntry, StackRoomExhaustedAtEntryTrapsLikeTheInterpreter) {
+  const Program program = minnow::Compile(R"(
+    fn big(a: int) -> int {
+      var b: int = a + 1; var c: int = b * 2; var d: int = c - a; var e: int = d * d;
+      return a + b + c + d + e;
+    }
+    fn small(a: int) -> int { return a + 1; }
+    fn via(a: int) -> int { return small(a) + big(a); }
+  )");
+  // Every size from nothing fits to everything fits: each frame's boundary
+  // slot is hit exactly.
+  for (std::size_t slots = 1; slots <= 12; ++slots) {
+    SCOPED_TRACE("stack_slots " + std::to_string(slots));
+    const auto make = Factory(program, [slots](VmOptions& o) { o.stack_slots = slots; });
+    // Entry straight into a function whose frame does not fit; entry whose
+    // own frame fits but a callee's does not (the callee prologue refuses,
+    // the caller re-executes the call in the interpreter); two arguments
+    // into a one-slot stack.
+    const EntryOutcome big =
+        ExpectSameEntry(make, [](VM& vm) { return vm.Call("big", {Value::Int(3)}).AsInt(); });
+    const EntryOutcome via =
+        ExpectSameEntry(make, [](VM& vm) { return vm.Call("via", {Value::Int(3)}).AsInt(); });
+    ExpectSameEntry(make, [](VM& vm) {
+      try {
+        vm.Call("via", {Value::Int(3)});
+      } catch (const Trap&) {
+      }
+      return vm.Call("small", {Value::Int(3)}).AsInt();  // the VM is usable again
+    });
+    if (slots == 7) {  // big's frame fits alone, not on top of via's
+      EXPECT_EQ(big.result, 45);
+      EXPECT_EQ(via.message, "VM stack overflow");
+      EXPECT_GT(via.retired, 0u);
+    }
+  }
+  const Program two = minnow::Compile("fn f(a: int, b: int) -> int { return a + b; }");
+  const EntryOutcome args = ExpectSameEntry(
+      Factory(two, [](VmOptions& o) { o.stack_slots = 1; }),
+      [](VM& vm) { return vm.Call("f", {Value::Int(1), Value::Int(2)}).AsInt(); });
+  EXPECT_EQ(args.message, "VM stack overflow");
+}
+
+TEST(JitEntry, DepthLimitReachedThroughNestedHostReentry) {
+  HostDecl host;
+  host.name = "k_reenter";
+  host.params = {Type::Int()};
+  host.ret = Type::Int();
+  const Program program = minnow::Compile(R"(
+    fn f(n: int) -> int {
+      if (n == 0) { return 0; }
+      return k_reenter(n - 1) + 1;
+    }
+  )",
+                                          {host});
+  // Each reentry starts its own depth budget, so only the frame capacity
+  // (max_call_depth plus the reentry slack) stops the nesting.
+  const auto make = Factory(
+      program, [](VmOptions& o) { o.max_call_depth = 3; },
+      [](VM& vm) {
+        vm.BindHost("k_reenter", [](VM& inner, std::span<const Value> args) {
+          return inner.Call("f", {args[0]});
+        });
+      });
+  const EntryOutcome deep =
+      ExpectSameEntry(make, [](VM& vm) { return vm.Call("f", {Value::Int(500)}).AsInt(); });
+  EXPECT_EQ(deep.message, "call depth limit exceeded");
+  const EntryOutcome fits =
+      ExpectSameEntry(make, [](VM& vm) { return vm.Call("f", {Value::Int(20)}).AsInt(); });
+  EXPECT_EQ(fits.result, 20);
+}
+
+TEST(JitEntry, HostExceptionTwoFramesDeepThenACleanCall) {
+  HostDecl host;
+  host.name = "k_fail";
+  host.params = {Type::Int()};
+  host.ret = Type::Int();
+  // inner and mid make calls, so neither is spliced: the exception crosses
+  // two real native frames.
+  const Program program = minnow::Compile(R"(
+    fn inner(x: int) -> int { return k_fail(x) + 1; }
+    fn mid(x: int) -> int { var y: int = x * 2; return inner(y) + y; }
+    fn f(x: int) -> int { return mid(x) + 3; }
+    fn ok(x: int) -> int { return mid(x - 100) + 1; }
+  )",
+                                          {host});
+  const auto make = Factory(program, {}, [](VM& vm) {
+    vm.BindHost("k_fail", [](VM&, std::span<const Value> args) -> Value {
+      if (args[0].AsInt() > 0) throw std::runtime_error("disk on fire");
+      return Value::Int(args[0].AsInt());
+    });
+  });
+  const EntryOutcome out = ExpectSameEntry(make, [](VM& vm) {
+    try {
+      vm.Call("f", {Value::Int(5)});
+      ADD_FAILURE() << "the host exception must propagate";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "disk on fire");
+    }
+    EXPECT_EQ(vm.exec_state().sp, 0u);
+    EXPECT_EQ(vm.exec_state().nframes, 0u);
+    return vm.Call("ok", {Value::Int(10)}).AsInt();
+  });
+  EXPECT_FALSE(out.trapped);
+  EXPECT_EQ(out.result, -180 + 1 - 180 + 1);
+}
+
+// --- Value numbering soundness --------------------------------------------
+//
+// Inside a block the JIT reuses a global load, a reference's checks and a
+// pure op's result. Each case puts the thing that must end the reuse
+// between two uses — inside one expression, so the first value is still on
+// the operand stack when the second is computed — and compares with the
+// interpreter.
+
+TEST(JitValueNumbering, StoreGlobalBetweenTwoLoads) {
+  const char* source = R"(
+    var g: int = 7;
+    fn bump() -> int { g = g + 5; return 1; }
+    fn bump_called() -> int { return bump(); }
+    fn f(x: int) -> int {
+      var a: int = g / x;
+      g = x + 100;
+      return a * 1000 + g / x + g;
+    }
+    fn spliced(x: int) -> int { return g / x + (bump() + g / x); }
+    fn called(x: int) -> int { return g * x + (bump_called() + g * x); }
+  )";
+  ExpectSame(source, "f", {3});
+  ExpectSame(source, "spliced", {3});
+  ExpectSame(source, "called", {3});
+}
+
+TEST(JitValueNumbering, ElementStoreBetweenTwoElementLoads) {
+  const char* source = R"(
+    var a: int[] = new int[4];
+    fn f(i: int, v: int) -> int {
+      a[i] = 9;
+      var x: int = a[i];
+      a[i] = v;
+      return x * 10 + a[i] + a[i] / v;
+    }
+  )";
+  ExpectSame(source, "f", {2, 5});
+  ExpectSame(source, "f", {4, 5});  // the first access traps out of bounds
+  ExpectSame(source, "f", {1, 0});  // the division traps
+}
+
+TEST(JitValueNumbering, ReentrantHostRewritesAGlobalBetweenTwoLoads) {
+  HostDecl host;
+  host.name = "k_poke";
+  host.params = {Type::Int()};
+  host.ret = Type::Int();
+  const Program program = minnow::Compile(R"(
+    var g: int = 3;
+    fn set_g(v: int) { g = v; }
+    fn f(x: int) -> int {
+      var a: int = g;
+      var b: int = g + (k_poke(x) + g);
+      return a * 10000 + b * 10 + g;
+    }
+  )",
+                                          {host});
+  std::int64_t results[2];
+  int i = 0;
+  for (const DispatchMode mode : {DispatchMode::kDefault, DispatchMode::kJit}) {
+    VmOptions options;
+    options.dispatch = mode;
+    VM vm(program, options);
+    vm.BindHost("k_poke", [](VM& inner, std::span<const Value> args) {
+      inner.Call("set_g", {Value::Int(args[0].AsInt() * 2)});
+      return Value::Int(1);
+    });
+    vm.RunInit();
+    results[i++] = vm.Call("f", {Value::Int(21)}).AsInt();
+  }
+  EXPECT_EQ(results[0], 3 * 10000 + (3 + 1 + 42) * 10 + 42);
+  EXPECT_EQ(results[0], results[1]);
+}
+
+TEST(JitValueNumbering, AllocationBetweenTwoUsesOfAReusedReference) {
+  // A small heap: every large allocation collects. The reference whose
+  // checks were skipped the second time must still be the live object.
+  const char* source = R"(
+    struct Box { a: int; b: Box; }
+    var keep: int[] = new int[8];
+    fn f(n: int) -> int {
+      var r: int[] = keep;
+      r[1] = n;
+      var box: Box = new Box();
+      box.a = n + 1;
+      var junk: int[] = new int[40000];
+      junk[0] = r[1];
+      var more: int[] = new int[40000];
+      more[1] = box.a;
+      return r[1] + keep[1] + box.a + junk[0] + more[1];
+    }
+  )";
+  VmOptions options;
+  options.heap_limit = 1u << 20;
+  const Outcome out = ExpectSame(source, "f", {5}, options);
+  EXPECT_EQ(out.result, 5 + 5 + 6 + 5 + 6);
+}
+
+TEST(JitValueNumbering, RepeatedDivisionWhoseFirstInstanceTraps) {
+  const char* source = R"(
+    fn f(x: int, y: int) -> int { return x / y + x / y; }
+    fn g(x: int, y: int) -> int { return x / y + x % y + x / y; }
+  )";
+  VmOptions fuel;
+  fuel.fuel = 1000;
+  ExpectSame(source, "f", {7, 0}, fuel);
+  ExpectSame(source, "f", {7, 2}, fuel);
+  ExpectSame(source, "g", {7, 0}, fuel);
+  ExpectSame(source, "g", {std::numeric_limits<std::int64_t>::min(), -1}, fuel);
+  ExpectSame(source, "g", {-7, 3}, fuel);
+}
 
 TEST(JitResolve, PcsOutsideCompiledCodeResolveToNothing) {
   VM vm(minnow::Compile("fn f(n: int) -> int { return n * 2; }"), JitOpts());

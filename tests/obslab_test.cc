@@ -19,6 +19,8 @@
 #include "src/graftd/clock.h"
 #include "src/graftd/dispatcher.h"
 #include "src/grafts/factory.h"
+#include "src/grafts/minnow_grafts.h"
+#include "src/minnow/vm.h"
 #include "src/netfront/client.h"
 #include "src/netfront/server.h"
 #include "src/netfront/wire.h"
@@ -345,6 +347,40 @@ TEST(Profiler, AttributesSamplesToTheStampedSlot) {
   // With the first profiler stopped, another may start.
   ASSERT_TRUE(second.Start());
   second.Stop();
+}
+
+// The profiler sees inside the JIT: samples that land in jitted md5 resolve
+// to {function, bytecode pc}, and md5's hot loop is `rounds`.
+TEST(Profiler, ResolvesSamplesInsideJittedCode) {
+  grafts::MinnowConfig config;
+  config.fuse = true;
+  config.elide = true;
+  config.jit = true;
+  grafts::MinnowMd5Graft graft(config);
+  if (graft.vm().dispatch() != minnow::DispatchMode::kJit) {
+    GTEST_SKIP() << "no JIT in this build";
+  }
+  Profiler::Options options;
+  options.hz = 1000;
+  Profiler profiler(options);
+  profiler.SetGraftName(0, "md5");
+  ASSERT_TRUE(profiler.Start());
+  std::vector<std::uint8_t> data(64 * 1024, 0x5A);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::string folded;
+  {
+    const tracelab::ScopedProfSlot slot(1, tracelab::ProfStage::kBody);
+    while (std::chrono::steady_clock::now() < deadline) {
+      graft.Consume(data.data(), data.size());
+      folded = profiler.FoldedStacks();
+      if (folded.find(";minnow:rounds@") != std::string::npos) {
+        break;
+      }
+    }
+  }
+  profiler.Stop();
+  EXPECT_NE(folded.find("graftlab;md5;body;minnow:rounds@"), std::string::npos) << folded;
+  EXPECT_EQ(profiler.jit_overflow(), 0u);
 }
 
 // --- plane over a live dispatcher ---
