@@ -6,10 +6,10 @@
 // computed-goto hot loop and superinstruction fusion) and the load-time
 // template JIT (minnow/jit.h), which is the Java/translated row.
 //
-// Four ablations:
+// Three ablations (A1b, the load-time fold/thread optimizer, was retired
+// with the optimizer itself; see EXPERIMENTS.md):
 //   A1a  interpreter vs Java/translated (the JIT, checks kept) vs native C
 //        (all three grafts)
-//   A1b  the load-time bytecode optimizer on the interpreter and the JIT
 //   A1c  the interpreter's own axes: switch vs threaded dispatch, with and
 //        without superinstruction fusion — the gate is >= 1.5x on the
 //        MD5-stream graft for (threaded + fused) over the plain switch loop,
@@ -201,9 +201,8 @@ double MeasureSfiEmptyCallNs(std::size_t runs) {
   return measurement.mean_us() * 1e3;
 }
 
-grafts::MinnowConfig InterpConfig(bool threaded, bool fuse, bool optimize = false) {
+grafts::MinnowConfig InterpConfig(bool threaded, bool fuse) {
   grafts::MinnowConfig config;
-  config.optimize = optimize;
   config.fuse = fuse;
   config.dispatch = threaded ? minnow::DispatchMode::kThreaded : minnow::DispatchMode::kSwitch;
   return config;
@@ -251,25 +250,6 @@ int main(int argc, char** argv) {
   report.AddUs("md5/translated", runs, rows[1].translated_us,
                bench::Md5Checksum(Technology::kJavaTranslated));
   report.AddUs("md5/native_c", runs, rows[1].native_us, bench::Md5Checksum(Technology::kC));
-
-  // --- A1b: the load-time bytecode optimizer on the interpreter and the JIT ---
-  std::printf("\nA1b: load-time bytecode optimizer (constant folding, branch folding,\n");
-  std::printf("jump threading) on the MD5 graft:\n");
-  auto time_md5 = [&](grafts::MinnowConfig config) {
-    return MeasureConfigMd5Us(config, std::max<std::size_t>(2, runs / 2), md5_bytes, nullptr);
-  };
-  const grafts::MinnowConfig jit{.jit = true};  // the Java/translated row
-  const grafts::MinnowConfig jit_opt{.optimize = true, .jit = true};
-  const double interp_plain = time_md5(InterpConfig(true, true));
-  const double interp_opt = time_md5(InterpConfig(true, true, /*optimize=*/true));
-  const double jit_plain = time_md5(jit);
-  const double jit_optimized = time_md5(jit_opt);
-  std::printf("  %-28s %10.0fus\n", "interpreter", interp_plain);
-  std::printf("  %-28s %10.0fus (%.2fx)\n", "interpreter + optimizer", interp_opt,
-              interp_plain / interp_opt);
-  std::printf("  %-28s %10.0fus\n", "jit", jit_plain);
-  std::printf("  %-28s %10.0fus (%.2fx)\n", "jit + optimizer", jit_optimized,
-              jit_plain / jit_optimized);
 
   // --- A1c: dispatch loop and fusion, the interpreter's own axes ---
   bench::PrintSection("A1c: switch vs threaded dispatch x superinstruction fusion");
@@ -481,7 +461,7 @@ int main(int argc, char** argv) {
       std::printf("  %-28s %12llu\n", name.c_str(), static_cast<unsigned long long>(count));
     }
   }
-  std::printf("\nSee tests/conformance_test.cc (the dispatch x optimizer x fusion x elision\n");
+  std::printf("\nSee tests/conformance_test.cc (the dispatch x fusion x elision\n");
   std::printf("matrix) and tests/minnow_dispatch_fuzz_test.cc for the differential-\n");
   std::printf("correctness evidence behind every row above.\n");
   report.Write();

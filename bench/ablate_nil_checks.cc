@@ -38,7 +38,6 @@ using core::Technology;
 
 grafts::MinnowConfig MinnowInterp(bool elide) {
   grafts::MinnowConfig config;
-  config.optimize = true;
   config.fuse = true;
   config.dispatch = minnow::DispatchMode::kThreaded;
   config.elide = elide;

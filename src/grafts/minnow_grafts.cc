@@ -255,10 +255,6 @@ fn ld_translate(lb: int) -> int { return map[lb]; }
 )minnow";
 
 minnow::Program Prepare(minnow::Program program, const MinnowConfig& config) {
-  if (config.optimize) {
-    minnow::Optimize(program);
-    minnow::VerifyProgram(program);  // recompute max_stack after shrinking
-  }
   if (config.fuse) {
     minnow::FuseSuperinstructions(program);
     minnow::VerifyProgram(program);

@@ -22,11 +22,9 @@
 
 namespace grafts {
 
-// Per-graft VM configuration. `optimize` runs the bytecode optimizer
-// (minnow/optimizer.h) at load time — off by default so the Technology
-// rows model a plain 1995-style javac pipeline; the ablation benches turn
-// it on explicitly. `fuse` applies superinstruction fusion, which is a
-// load-time speedup with no semantic footprint, so it defaults on.
+// Per-graft VM configuration. `fuse` applies superinstruction fusion
+// (minnow/optimizer.h), which is a load-time speedup with no semantic
+// footprint, so it defaults on.
 // `dispatch` and `profile_opcodes` pass straight through to VmOptions.
 // `elide` runs the load-time check-elision pass (minnow/elide.h): accesses
 // whose safety checks the abstract interpreter proves dead execute
@@ -36,7 +34,6 @@ namespace grafts {
 // support. The Java/translated row is `{.jit = true}`: the JIT with every
 // check kept.
 struct MinnowConfig {
-  bool optimize = false;
   bool fuse = true;
   minnow::DispatchMode dispatch = minnow::DispatchMode::kDefault;
   bool profile_opcodes = false;

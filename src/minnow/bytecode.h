@@ -53,29 +53,25 @@
 //   kTrap          unconditional trap; operand selects the message
 //
 // Superinstructions (emitted only by optimizer.h's FuseSuperinstructions,
-// never by the compiler):
+// never by the compiler). Each one is defined by the base sequence Expand
+// returns for it; the interpreter's fused handlers are a faster way to run
+// that sequence, and the verifier, the elision pass and the JIT only ever
+// see the sequence:
 //
-//   kLoadAddI      tos += locals[operand]            (kLoadLocal + kAddI)
-//   kAddConstI     tos += operand                    (kConstInt + kAddI)
-//   kConstStore    locals[slot] = const              (kConstInt + kStoreLocal;
-//                  operand packs const<<32 | slot, see PackConstStore)
-//   kBrEqI..kBrGeI pop b, pop a, jump to operand when a CMP b
-//                  (comparison + kJmpIfTrue, or the inverted comparison +
-//                  kJmpIfFalse)
-//   kBrEqRef/kBrNeRef  reference forms of the above
-//   kBrEqImmI..kBrGeImmI  pop a, jump to target when a CMP imm
-//                  (kConstInt + comparison + branch; operand packs
-//                  imm<<32 | target, see PackImmBranch)
-//   kLoadLocal2    push locals[a], push locals[b]    (kLoadLocal + kLoadLocal;
-//                  operand packs a<<32 | b, see PackSlotPair)
-//   kLoadConstI    push locals[slot], push const     (kLoadLocal + kConstInt;
-//                  operand packs const<<32 | slot like kConstStore)
-//   kMoveLocal     locals[dst] = locals[src]         (kLoadLocal + kStoreLocal;
-//                  operand packs src<<32 | dst)
-//   kStoreLoad     locals[a] = pop, push locals[b]   (kStoreLocal + kLoadLocal;
-//                  operand packs a<<32 | b)
-//   kLoadGlobalLocal  push globals[g], push locals[s]  (kLoadGlobal +
-//                  kLoadLocal; operand packs g<<32 | s)
+//   load+add.i s         load.local s; add.i
+//   add.const.i c        const c; add.i
+//   const+store c,s      const c; store.local s     (PackConstStore)
+//   br.CMP.i t           CMP.i; jmp.true t          (CMP: eq ne lt le gt ge)
+//   br.eq.ref/ne.ref t   eq.ref/ne.ref; jmp.true t
+//   br.CMP.imm.i imm,t   const imm; CMP.i; jmp.true t  (PackImmBranch)
+//   load.local2 a,b      load.local a; load.local b (PackSlotPair)
+//   load+const.i c,s     load.local s; const c      (PackConstStore layout)
+//   move.local a,b       load.local a; store.local b
+//   store+load a,b       store.local a; load.local b
+//   load.global+local g,s  load.global g; load.local s
+//
+// FuseSuperinstructions also folds not.b + jmp.false/true into the opposite
+// base branch, which needs no opcode of its own.
 //
 // Unchecked variants (emitted only by elide.h's load-time check-elision
 // pass, and only when its abstract interpreter has proven the elided
@@ -324,6 +320,36 @@ struct Program {
 };
 
 const char* OpName(Op op);
+
+// --- The one description of the instruction set ---------------------------
+//
+// What an instruction does to the operand stack and to control: it pops
+// `pops` operands, then pushes `pushes`; a `branch` may jump to
+// BranchTarget(insn); a `terminal` never falls through. The verifier, the
+// elision pass, the JIT and the fusion pass all read shapes from here.
+struct Shape {
+  int pops = 0;
+  int pushes = 0;
+  bool branch = false;
+  bool terminal = false;
+};
+
+// The shape of `insn`. kCall and kCallHost take theirs from the function or
+// host import `program` names; an index out of range has the empty shape
+// (the verifier rejects it before any shape matters). A superinstruction's
+// shape is the composition of its expansion.
+Shape ShapeOf(const Program& program, const Insn& insn);
+
+// Writes the base instructions `insn` stands for into `out` and returns how
+// many: a superinstruction's sequence (only its last op can branch or end
+// control), or `insn` itself. Allocates nothing.
+inline constexpr int kMaxExpansion = 3;
+int Expand(const Insn& insn, Insn out[kMaxExpansion]);
+
+// Where a branching instruction (ShapeOf(...).branch) jumps, and rewriting
+// that target in place (br.*.imm forms keep their packed immediate).
+std::int64_t BranchTarget(const Insn& insn);
+void SetBranchTarget(Insn& insn, std::int64_t target);
 
 // Human-readable disassembly, for tests and debugging.
 std::string Disassemble(const FunctionCode& fn);

@@ -583,9 +583,25 @@ class Analyzer {
     (void)WriteBack(state, origin, fact);  // infeasible here only on dead code
   }
 
+  // Steps through the base ops of the instruction at pc (a superinstruction
+  // is its expansion; only the last op can branch or leave).
   void Step(const FunctionCode& fn, std::size_t pc, State state, FnAnalysis& out,
             std::vector<int>& visits, std::vector<std::size_t>& worklist) {
-    const Insn& insn = fn.code[pc];
+    Insn ops[kMaxExpansion];
+    const int n = Expand(fn.code[pc], ops);
+    for (int i = 0; i < n; ++i) {
+      if (!Transfer(ops[i], pc, state, out, visits, worklist)) {
+        return;
+      }
+    }
+    FlowTo(out, visits, worklist, pc, pc + 1, state);
+  }
+
+  // Applies one base op to `state`. Returns true when control falls through
+  // to the next op; false when the op handled its own successors (branches,
+  // returns, traps) or the analysis bailed.
+  bool Transfer(const Insn& insn, std::size_t pc, State& state, FnAnalysis& out,
+                std::vector<int>& visits, std::vector<std::size_t>& worklist) {
     auto push = [&state](Slot slot) { state.stack.push_back(std::move(slot)); };
     auto push_val = [&state](AbsVal v) {
       Slot slot;
@@ -602,43 +618,36 @@ class Analyzer {
       const Slot a = pop();
       push_val(f(a.v, b.v));
     };
-    auto next = [&] { FlowTo(out, visits, worklist, pc, pc + 1, state); };
     auto jump = [&](std::size_t target) { FlowTo(out, visits, worklist, pc, target, state); };
 
     switch (insn.op) {
       case Op::kNop:
-        next();
-        return;
+        return true;
       case Op::kConstInt:
         push_val(AbsVal::Const(insn.operand));
-        next();
-        return;
+        return true;
       case Op::kConstNull:
         push_val(AbsVal::Null());
-        next();
-        return;
+        return true;
       case Op::kLoadLocal: {
         Slot slot;
         slot.v = state.locals[static_cast<std::size_t>(insn.operand)];
         slot.origin = Origin{Origin::kLocal, static_cast<std::uint32_t>(insn.operand)};
         push(std::move(slot));
-        next();
-        return;
+        return true;
       }
       case Op::kStoreLocal: {
         const Slot v = pop();
         state.locals[static_cast<std::size_t>(insn.operand)] = v.v;
         KillOrigin(state, Origin::kLocal, static_cast<std::uint32_t>(insn.operand));
-        next();
-        return;
+        return true;
       }
       case Op::kLoadGlobal: {
         Slot slot;
         slot.v = state.globals[static_cast<std::size_t>(insn.operand)];
         slot.origin = Origin{Origin::kGlobal, static_cast<std::uint32_t>(insn.operand)};
         push(std::move(slot));
-        next();
-        return;
+        return true;
       }
       case Op::kStoreGlobal: {
         const Slot v = pop();
@@ -648,64 +657,51 @@ class Analyzer {
           (*store_accum_)[g] = Join((*store_accum_)[g], v.v);
         }
         KillOrigin(state, Origin::kGlobal, static_cast<std::uint32_t>(insn.operand));
-        next();
-        return;
+        return true;
       }
       case Op::kPop:
         pop();
-        next();
-        return;
+        return true;
       case Op::kDup:
         push(state.stack.back());
-        next();
-        return;
+        return true;
       case Op::kAddI:
         bin_i(RangeAdd);
-        next();
-        return;
+        return true;
       case Op::kSubI:
         bin_i(RangeSub);
-        next();
-        return;
+        return true;
       case Op::kMulI:
         bin_i(RangeMul);
-        next();
-        return;
+        return true;
       case Op::kDivI:
         bin_i(RangeDiv);
-        next();
-        return;
+        return true;
       case Op::kModI:
         bin_i(RangeMod);
-        next();
-        return;
+        return true;
       case Op::kNegI: {
         const Slot a = pop();
         push_val(RangeNeg(a.v));
-        next();
-        return;
+        return true;
       }
       case Op::kAndI:
         bin_i(RangeAnd);
-        next();
-        return;
+        return true;
       case Op::kOrI:
       case Op::kXorI:
         bin_i(RangeOrXor);
-        next();
-        return;
+        return true;
       case Op::kShlI:
         pop();
         pop();
         push_val(AbsVal::Top());
-        next();
-        return;
+        return true;
       case Op::kShrI: {
         pop();  // count
         const Slot a = pop();
         push_val(RangeShrI(a.v));
-        next();
-        return;
+        return true;
       }
       case Op::kNotI: {
         const Slot a = pop();
@@ -714,8 +710,7 @@ class Analyzer {
         } else {
           push_val(AbsVal::Range(-a.v.hi - 1, -a.v.lo - 1));
         }
-        next();
-        return;
+        return true;
       }
       case Op::kAddU:
       case Op::kSubU:
@@ -727,13 +722,11 @@ class Analyzer {
         pop();
         pop();
         push_val(AbsVal::Range(0, kU32Max));
-        next();
-        return;
+        return true;
       case Op::kNotU:
         pop();
         push_val(AbsVal::Range(0, kU32Max));
-        next();
-        return;
+        return true;
       case Op::kEqI:
       case Op::kNeI:
       case Op::kLtI:
@@ -757,8 +750,7 @@ class Analyzer {
         res.pred.lhs = a.v;
         res.pred.rhs = b.v;
         push(std::move(res));
-        next();
-        return;
+        return true;
       }
       case Op::kNotB: {
         Slot a = pop();
@@ -769,24 +761,21 @@ class Analyzer {
           res.pred.cmp = NegateCmp(a.pred.cmp);
         }
         push(std::move(res));
-        next();
-        return;
+        return true;
       }
       case Op::kCastU32: {
         const Slot a = pop();
         push_val(RangeClamp(a.v, 0, kU32Max));
-        next();
-        return;
+        return true;
       }
       case Op::kCastByte: {
         const Slot a = pop();
         push_val(RangeClamp(a.v, 0, 255));
-        next();
-        return;
+        return true;
       }
       case Op::kJmp:
         jump(static_cast<std::size_t>(insn.operand));
-        return;
+        return false;
       case Op::kJmpIfFalse:
       case Op::kJmpIfTrue: {
         const Slot cond = pop();
@@ -808,7 +797,7 @@ class Analyzer {
             FlowTo(out, visits, worklist, pc, taken_truth ? target : pc + 1, edge);
           }
         }
-        return;
+        return false;
       }
       case Op::kCall: {
         const auto& callee = program_.functions[static_cast<std::size_t>(insn.operand)];
@@ -821,8 +810,7 @@ class Analyzer {
         if (callee.returns_value) {
           push_val(AbsVal::Top());
         }
-        next();
-        return;
+        return true;
       }
       case Op::kCallHost: {
         const auto& host = program_.host_imports[static_cast<std::size_t>(insn.operand)];
@@ -835,24 +823,22 @@ class Analyzer {
         if (host.returns_value) {
           push_val(AbsVal::Top());
         }
-        next();
-        return;
+        return true;
       }
       case Op::kRet:
         pop();
         RecordExit(out, state);
-        return;
+        return false;
       case Op::kRetVoid:
         RecordExit(out, state);
-        return;
+        return false;
       case Op::kTrap:
-        return;
+        return false;
       case Op::kNewStruct: {
         AbsVal ref = AbsVal::Top();
         ref.nonnull = true;
         push_val(ref);
-        next();
-        return;
+        return true;
       }
       case Op::kNewArray: {
         const Slot len = pop();
@@ -863,22 +849,19 @@ class Analyzer {
         arr.elem = static_cast<TypeKind>(insn.operand);
         arr.len_lo = std::min(std::max<std::int64_t>(0, len.v.lo), kMaxArrayLen);
         push_val(arr);
-        next();
-        return;
+        return true;
       }
       case Op::kLoadField: {
         const Slot obj = pop();
         RefineReceiver(state, obj.origin, /*array=*/false, 0);
         push_val(AbsVal::Top());
-        next();
-        return;
+        return true;
       }
       case Op::kStoreField: {
         pop();  // value
         const Slot obj = pop();
         RefineReceiver(state, obj.origin, /*array=*/false, 0);
-        next();
-        return;
+        return true;
       }
       case Op::kLoadElem: {
         const Slot idx = pop();
@@ -886,8 +869,7 @@ class Analyzer {
         RefineReceiver(state, arr.origin, /*array=*/true,
                        idx.v.lo >= 0 ? std::min(idx.v.lo, kMaxArrayLen - 1) + 1 : 0);
         push_val(ElemLoadRange(arr.v));
-        next();
-        return;
+        return true;
       }
       case Op::kStoreElem: {
         pop();  // value
@@ -895,151 +877,19 @@ class Analyzer {
         const Slot arr = pop();
         RefineReceiver(state, arr.origin, /*array=*/true,
                        idx.v.lo >= 0 ? std::min(idx.v.lo, kMaxArrayLen - 1) + 1 : 0);
-        next();
-        return;
+        return true;
       }
       case Op::kArrayLen: {
         const Slot arr = pop();
         RefineReceiver(state, arr.origin, /*array=*/true, 0);
         push_val(AbsVal::Range(std::max<std::int64_t>(0, arr.v.len_lo), kMaxArrayLen));
-        next();
-        return;
-      }
-      // --- superinstructions (analysis mirrors vm_dispatch.inc) ---
-      case Op::kLoadAddI: {
-        const Slot a = pop();
-        push_val(RangeAdd(a.v, state.locals[static_cast<std::size_t>(insn.operand)]));
-        next();
-        return;
-      }
-      case Op::kAddConstI: {
-        const Slot a = pop();
-        push_val(RangeAdd(a.v, AbsVal::Const(insn.operand)));
-        next();
-        return;
-      }
-      case Op::kConstStore: {
-        const auto slot = ConstStoreSlot(insn.operand);
-        state.locals[slot] = AbsVal::Const(ConstStoreValue(insn.operand));
-        KillOrigin(state, Origin::kLocal, slot);
-        next();
-        return;
-      }
-      case Op::kBrEqI:
-      case Op::kBrNeI:
-      case Op::kBrLtI:
-      case Op::kBrLeI:
-      case Op::kBrGtI:
-      case Op::kBrGeI:
-      case Op::kBrEqRef:
-      case Op::kBrNeRef: {
-        const Slot b = pop();
-        const Slot a = pop();
-        Op cmp;
-        switch (insn.op) {
-          case Op::kBrEqI: cmp = Op::kEqI; break;
-          case Op::kBrNeI: cmp = Op::kNeI; break;
-          case Op::kBrLtI: cmp = Op::kLtI; break;
-          case Op::kBrLeI: cmp = Op::kLeI; break;
-          case Op::kBrGtI: cmp = Op::kGtI; break;
-          case Op::kBrGeI: cmp = Op::kGeI; break;
-          case Op::kBrEqRef: cmp = Op::kEqRef; break;
-          default: cmp = Op::kNeRef; break;
-        }
-        const auto target = static_cast<std::size_t>(insn.operand);
-        State taken = state;
-        if (RefineCompare(taken, cmp, a.origin, a.v, b.origin, b.v)) {
-          FlowTo(out, visits, worklist, pc, target, taken);
-        }
-        State fall = std::move(state);
-        if (RefineCompare(fall, NegateCmp(cmp), a.origin, a.v, b.origin, b.v)) {
-          FlowTo(out, visits, worklist, pc, pc + 1, fall);
-        }
-        return;
-      }
-      case Op::kBrEqImmI:
-      case Op::kBrNeImmI:
-      case Op::kBrLtImmI:
-      case Op::kBrLeImmI:
-      case Op::kBrGtImmI:
-      case Op::kBrGeImmI: {
-        const Slot a = pop();
-        const AbsVal imm = AbsVal::Const(ImmBranchValue(insn.operand));
-        Op cmp;
-        switch (insn.op) {
-          case Op::kBrEqImmI: cmp = Op::kEqI; break;
-          case Op::kBrNeImmI: cmp = Op::kNeI; break;
-          case Op::kBrLtImmI: cmp = Op::kLtI; break;
-          case Op::kBrLeImmI: cmp = Op::kLeI; break;
-          case Op::kBrGtImmI: cmp = Op::kGtI; break;
-          default: cmp = Op::kGeI; break;
-        }
-        const auto target = static_cast<std::size_t>(ImmBranchTarget(insn.operand));
-        State taken = state;
-        if (RefineCompare(taken, cmp, a.origin, a.v, Origin{}, imm)) {
-          FlowTo(out, visits, worklist, pc, target, taken);
-        }
-        State fall = std::move(state);
-        if (RefineCompare(fall, NegateCmp(cmp), a.origin, a.v, Origin{}, imm)) {
-          FlowTo(out, visits, worklist, pc, pc + 1, fall);
-        }
-        return;
-      }
-      case Op::kLoadLocal2: {
-        Slot s1;
-        s1.v = state.locals[SlotPairA(insn.operand)];
-        s1.origin = Origin{Origin::kLocal, SlotPairA(insn.operand)};
-        push(std::move(s1));
-        Slot s2;
-        s2.v = state.locals[SlotPairB(insn.operand)];
-        s2.origin = Origin{Origin::kLocal, SlotPairB(insn.operand)};
-        push(std::move(s2));
-        next();
-        return;
-      }
-      case Op::kLoadConstI: {
-        Slot s1;
-        s1.v = state.locals[ConstStoreSlot(insn.operand)];
-        s1.origin = Origin{Origin::kLocal, ConstStoreSlot(insn.operand)};
-        push(std::move(s1));
-        push_val(AbsVal::Const(ConstStoreValue(insn.operand)));
-        next();
-        return;
-      }
-      case Op::kMoveLocal: {
-        state.locals[SlotPairB(insn.operand)] = state.locals[SlotPairA(insn.operand)];
-        KillOrigin(state, Origin::kLocal, SlotPairB(insn.operand));
-        next();
-        return;
-      }
-      case Op::kStoreLoad: {
-        const Slot v = pop();
-        state.locals[SlotPairA(insn.operand)] = v.v;
-        KillOrigin(state, Origin::kLocal, SlotPairA(insn.operand));
-        Slot s;
-        s.v = state.locals[SlotPairB(insn.operand)];
-        s.origin = Origin{Origin::kLocal, SlotPairB(insn.operand)};
-        push(std::move(s));
-        next();
-        return;
-      }
-      case Op::kLoadGlobalLocal: {
-        Slot s1;
-        s1.v = state.globals[SlotPairA(insn.operand)];
-        s1.origin = Origin{Origin::kGlobal, SlotPairA(insn.operand)};
-        push(std::move(s1));
-        Slot s2;
-        s2.v = state.locals[SlotPairB(insn.operand)];
-        s2.origin = Origin{Origin::kLocal, SlotPairB(insn.operand)};
-        push(std::move(s2));
-        next();
-        return;
+        return true;
       }
       default:
         // Unchecked opcodes (or anything unknown) must never reach the
         // analyzer; the caller screens them out.
         out.ok = false;
-        return;
+        return false;
     }
   }
 
@@ -1115,17 +965,6 @@ bool ContainsOp(const FunctionCode& fn, Op op) {
   for (const Insn& insn : fn.code) {
     if (insn.op == op) {
       return true;
-    }
-  }
-  return false;
-}
-
-bool ProgramHasUncheckedOps(const Program& program) {
-  for (const auto& fn : program.functions) {
-    for (const Insn& insn : fn.code) {
-      if (IsUncheckedOp(insn.op)) {
-        return true;
-      }
     }
   }
   return false;
@@ -1210,7 +1049,7 @@ ElideStats ElideChecks(Program& program) {
     stats.array_lens_elided = program.elision.array_lens_elided;
     return stats;
   }
-  if (ProgramHasUncheckedOps(program)) {
+  if (HasUncheckedOps(program)) {
     throw std::invalid_argument("unchecked opcodes present without an elision certificate");
   }
   {

@@ -400,172 +400,7 @@ int Log2Small(std::int64_t v) {
   return -1;
 }
 
-struct Eff {
-  int pops = 0;
-  int pushes = 0;
-  bool branch = false;
-  bool terminal = false;
-  std::size_t target = 0;
-};
-
-// Stack effect + control shape per opcode — mirrors verifier.cc's table (the
-// verifier already accepted this code; disagreement here means bail out).
-bool EffectOf(const Program& program, const Insn& insn, Eff& e) {
-  switch (insn.op) {
-    case Op::kNop:
-    case Op::kConstStore:
-    case Op::kMoveLocal:
-      break;
-    case Op::kConstInt:
-    case Op::kConstNull:
-    case Op::kLoadLocal:
-    case Op::kLoadGlobal:
-    case Op::kNewStruct:
-      e.pushes = 1;
-      break;
-    case Op::kStoreLocal:
-    case Op::kStoreGlobal:
-    case Op::kPop:
-      e.pops = 1;
-      break;
-    case Op::kDup:
-      e.pops = 1;
-      e.pushes = 2;
-      break;
-    case Op::kNegI:
-    case Op::kNotI:
-    case Op::kNotU:
-    case Op::kNotB:
-    case Op::kCastU32:
-    case Op::kCastByte:
-    case Op::kArrayLen:
-    case Op::kArrayLenNC:
-    case Op::kNewArray:
-    case Op::kLoadField:
-    case Op::kLoadFieldNC:
-    case Op::kLoadAddI:
-    case Op::kAddConstI:
-    case Op::kStoreLoad:
-      e.pops = 1;
-      e.pushes = 1;
-      break;
-    case Op::kAddI:
-    case Op::kSubI:
-    case Op::kMulI:
-    case Op::kDivI:
-    case Op::kModI:
-    case Op::kAndI:
-    case Op::kOrI:
-    case Op::kXorI:
-    case Op::kShlI:
-    case Op::kShrI:
-    case Op::kAddU:
-    case Op::kSubU:
-    case Op::kMulU:
-    case Op::kDivU:
-    case Op::kModU:
-    case Op::kShlU:
-    case Op::kShrU:
-    case Op::kEqI:
-    case Op::kNeI:
-    case Op::kLtI:
-    case Op::kLeI:
-    case Op::kGtI:
-    case Op::kGeI:
-    case Op::kLtU:
-    case Op::kLeU:
-    case Op::kGtU:
-    case Op::kGeU:
-    case Op::kEqRef:
-    case Op::kNeRef:
-    case Op::kLoadElem:
-    case Op::kLoadElemNC:
-    case Op::kDivNZ:
-    case Op::kModNZ:
-      e.pops = 2;
-      e.pushes = 1;
-      break;
-    case Op::kStoreField:
-    case Op::kStoreFieldNC:
-      e.pops = 2;
-      break;
-    case Op::kStoreElem:
-    case Op::kStoreElemNC:
-      e.pops = 3;
-      break;
-    case Op::kJmp:
-      e.branch = true;
-      e.terminal = true;
-      e.target = static_cast<std::size_t>(insn.operand);
-      break;
-    case Op::kJmpIfFalse:
-    case Op::kJmpIfTrue:
-      e.pops = 1;
-      e.branch = true;
-      e.target = static_cast<std::size_t>(insn.operand);
-      break;
-    case Op::kBrEqI:
-    case Op::kBrNeI:
-    case Op::kBrLtI:
-    case Op::kBrLeI:
-    case Op::kBrGtI:
-    case Op::kBrGeI:
-    case Op::kBrEqRef:
-    case Op::kBrNeRef:
-      e.pops = 2;
-      e.branch = true;
-      e.target = static_cast<std::size_t>(insn.operand);
-      break;
-    case Op::kBrEqImmI:
-    case Op::kBrNeImmI:
-    case Op::kBrLtImmI:
-    case Op::kBrLeImmI:
-    case Op::kBrGtImmI:
-    case Op::kBrGeImmI:
-      e.pops = 1;
-      e.branch = true;
-      e.target = static_cast<std::size_t>(ImmBranchTarget(insn.operand));
-      break;
-    case Op::kCall: {
-      if (insn.operand < 0 ||
-          static_cast<std::size_t>(insn.operand) >= program.functions.size()) {
-        return false;
-      }
-      const auto& callee = program.functions[static_cast<std::size_t>(insn.operand)];
-      e.pops = callee.num_params;
-      e.pushes = callee.returns_value ? 1 : 0;
-      break;
-    }
-    case Op::kCallHost: {
-      if (insn.operand < 0 ||
-          static_cast<std::size_t>(insn.operand) >= program.host_imports.size()) {
-        return false;
-      }
-      const auto& host = program.host_imports[static_cast<std::size_t>(insn.operand)];
-      e.pops = host.arity;
-      e.pushes = host.returns_value ? 1 : 0;
-      break;
-    }
-    case Op::kRet:
-      e.pops = 1;
-      e.terminal = true;
-      break;
-    case Op::kRetVoid:
-    case Op::kTrap:
-      e.terminal = true;
-      break;
-    case Op::kLoadLocal2:
-    case Op::kLoadConstI:
-    case Op::kLoadGlobalLocal:
-      e.pushes = 2;
-      break;
-    default:
-      return false;
-  }
-  return true;
-}
-
-bool IsBlockEnder(const Eff& e, Op op) {
+bool IsBlockEnder(const Shape& e, Op op) {
   return e.branch || e.terminal || op == Op::kCall || op == Op::kCallHost;
 }
 
@@ -706,18 +541,17 @@ struct Compiler {
       case Op::kGtI: case Op::kGeI: case Op::kLtU: case Op::kLeU:
       case Op::kGtU: case Op::kGeU: case Op::kEqRef: case Op::kNeRef:
       case Op::kJmp: case Op::kJmpIfFalse: case Op::kJmpIfTrue:
-      case Op::kBrEqI: case Op::kBrNeI: case Op::kBrLtI: case Op::kBrLeI:
-      case Op::kBrGtI: case Op::kBrGeI: case Op::kBrEqRef: case Op::kBrNeRef:
-      case Op::kBrEqImmI: case Op::kBrNeImmI: case Op::kBrLtImmI:
-      case Op::kBrLeImmI: case Op::kBrGtImmI: case Op::kBrGeImmI:
       case Op::kRet: case Op::kRetVoid:
-      case Op::kLoadAddI: case Op::kAddConstI: case Op::kConstStore:
-      case Op::kLoadLocal2: case Op::kLoadConstI: case Op::kMoveLocal:
-      case Op::kStoreLoad: case Op::kLoadGlobalLocal:
         return true;
       default:
         return false;
     }
+  }
+  // A superinstruction splices when every op of its expansion does.
+  static bool Inlinable(const Insn& insn) {
+    Insn ops[kMaxExpansion];
+    const int n = Expand(insn, ops);
+    return std::all_of(ops, ops + n, [](const Insn& op) { return InlinableOp(op.op); });
   }
 
   // Leaders (entry, branch targets, the insn after any ender), branch
@@ -734,14 +568,14 @@ struct Compiler {
     m.leader[0] = check[0] = 1;
     for (std::size_t pc = 0; pc < n; ++pc) {
       if (dep[pc] < 0) continue;
-      Eff e;
-      EffectOf(program, f.code[pc], e);
+      const Shape e = ShapeOf(program, f.code[pc]);
       const Op op = f.code[pc].op;
       if (IsBlockEnder(e, op) && pc + 1 < n) m.leader[pc + 1] = 1;
       if ((op == Op::kCall || op == Op::kCallHost) && pc + 1 < n) check[pc + 1] = 1;
       if (e.branch) {
-        m.leader[e.target] = m.target[e.target] = 1;
-        if (e.target <= pc) check[e.target] = 1;  // a loop head
+        const auto to = static_cast<std::size_t>(BranchTarget(f.code[pc]));
+        m.leader[to] = m.target[to] = 1;
+        if (to <= pc) check[to] = 1;  // a loop head
       }
     }
     // Blocks: from each leader to its first ender (or the next leader, when
@@ -758,9 +592,7 @@ struct Compiler {
       if (lp < 0) return false;
       m.blk_leader[pc] = lp;
       m.blk_len[lp] = static_cast<int>(pc) - lp + 1;
-      Eff e;
-      EffectOf(program, f.code[pc], e);
-      if (IsBlockEnder(e, f.code[pc].op)) lp = -1;
+      if (IsBlockEnder(ShapeOf(program, f.code[pc]), f.code[pc].op)) lp = -1;
     }
     // Every block that is not a check leader is reached from one through
     // forward edges alone, so runs are computed in reverse pc order.
@@ -769,14 +601,15 @@ struct Compiler {
     for (std::size_t pc = n; pc-- > 0;) {
       if (dep[pc] < 0 || !m.leader[pc]) continue;
       const std::size_t last = pc + static_cast<std::size_t>(m.blk_len[pc]) - 1;
-      Eff e;
-      EffectOf(program, f.code[last], e);
+      const Shape e = ShapeOf(program, f.code[last]);
       const auto next = [&](std::size_t q) {
         return q < n && q > last && dep[q] >= 0 && !check[q] ? run[q] : 0;
       };
       int tail = 0;
       if (!e.terminal) tail = next(last + 1);
-      if (e.branch) tail = std::max(tail, next(e.target));
+      if (e.branch) {
+        tail = std::max(tail, next(static_cast<std::size_t>(BranchTarget(f.code[last]))));
+      }
       run[pc] = m.blk_len[pc] + tail;
     }
     return true;
@@ -797,11 +630,10 @@ struct Compiler {
       work.pop_back();
       const Insn& insn = f.code[pc];
       if (splice) {
-        if (!InlinableOp(insn.op)) return false;
+        if (!Inlinable(insn)) return false;
         if (opts.jit_compile_filter && !opts.jit_compile_filter(insn.op)) return false;
       }
-      Eff e;
-      if (!EffectOf(program, insn, e)) return false;
+      const Shape e = ShapeOf(program, insn);
       if (splice && e.terminal && !e.branch && insn.op != Op::kRet && insn.op != Op::kRetVoid)
         return false;
       const int d = dep[pc];
@@ -817,7 +649,8 @@ struct Compiler {
         }
         return dep[q] == dq;
       };
-      if (e.branch && !propagate(e.target, d - e.pops)) return false;
+      if (e.branch && !propagate(static_cast<std::size_t>(BranchTarget(insn)), d - e.pops))
+        return false;
       if (!e.terminal && !propagate(pc + 1, d2)) return false;
     }
     return true;
@@ -833,41 +666,26 @@ struct Compiler {
            MapBlocks(callee, m);
   }
 
+  // True when the instruction at pc branches backwards (closes a loop).
+  bool IsBackEdge(std::size_t pc) const {
+    return ShapeOf(program, fn.code[pc]).branch &&
+           static_cast<std::size_t>(BranchTarget(fn.code[pc])) <= pc;
+  }
+
   // --- pinned locals ---------------------------------------------------------
   //
   // Up to five locals live in registers for the whole function. A function
   // with loops ranks its locals by their static references inside loops (a
   // pc range closed by a back edge); a straight-line function by their
   // references anywhere. A local needs two references to earn a register.
-  static int LocalsOf(const Insn& insn, int out[2]) {
-    switch (insn.op) {
-      case Op::kLoadLocal: case Op::kStoreLocal: case Op::kLoadAddI:
-        out[0] = static_cast<int>(insn.operand);
-        return 1;
-      case Op::kConstStore: case Op::kLoadConstI:
-        out[0] = static_cast<int>(ConstStoreSlot(insn.operand));
-        return 1;
-      case Op::kLoadGlobalLocal:
-        out[0] = static_cast<int>(SlotPairB(insn.operand));
-        return 1;
-      case Op::kLoadLocal2: case Op::kMoveLocal: case Op::kStoreLoad:
-        out[0] = static_cast<int>(SlotPairA(insn.operand));
-        out[1] = static_cast<int>(SlotPairB(insn.operand));
-        return 2;
-      default:
-        return 0;
-    }
-  }
-
   void ChoosePins() {
     const std::size_t n = fn.code.size();
     pin_.assign(static_cast<std::size_t>(fn.num_locals), kNoReg);
     std::vector<int> loop_edge(n + 1, 0);  // +1 at a loop head, -1 past its back edge
     bool loops = false;
     for (std::size_t pc = 0; pc < n; ++pc) {
-      Eff e;
-      if (m_.depth[pc] >= 0 && EffectOf(program, fn.code[pc], e) && e.branch && e.target <= pc) {
-        ++loop_edge[e.target];
+      if (m_.depth[pc] >= 0 && IsBackEdge(pc)) {
+        ++loop_edge[static_cast<std::size_t>(BranchTarget(fn.code[pc]))];
         --loop_edge[pc + 1];
         loops = true;
       }
@@ -877,10 +695,14 @@ struct Compiler {
     for (std::size_t pc = 0; pc < n; ++pc) {
       open += loop_edge[pc];
       if ((loops && open <= 0) || m_.depth[pc] < 0) continue;
-      int locals[2];
-      const int k = LocalsOf(fn.code[pc], locals);
+      Insn ops[kMaxExpansion];
+      const int k = Expand(fn.code[pc], ops);
       for (int i = 0; i < k; ++i) {
-        if (locals[i] >= 0 && locals[i] < fn.num_locals) ++uses[static_cast<std::size_t>(locals[i])];
+        const std::int64_t s = ops[i].operand;
+        if ((ops[i].op == Op::kLoadLocal || ops[i].op == Op::kStoreLocal) && s >= 0 &&
+            s < fn.num_locals) {
+          ++uses[static_cast<std::size_t>(s)];
+        }
       }
     }
     std::vector<int> order;
@@ -1608,6 +1430,7 @@ struct Compiler {
   }
 
   bool EmitInsn(std::size_t pc);  // jit_emit_x64.inc
+  bool EmitOp(std::size_t pc, const Insn& insn);  // jit_emit_x64.inc
   bool EmitSplice(std::size_t pc, const FunctionCode& callee, BlockMap plan);  // jit_emit_x64.inc
 
   // Block entry bookkeeping shared by the function body and splices: a
@@ -1631,9 +1454,8 @@ struct Compiler {
     global_gen_.assign(program.globals.size(), 0);
     loop_head_.assign(n, 0);
     for (std::size_t pc = 0; pc < n; ++pc) {
-      Eff e;
-      if (m_.depth[pc] >= 0 && EffectOf(program, fn.code[pc], e) && e.branch && e.target <= pc) {
-        loop_head_[e.target] = 1;
+      if (m_.depth[pc] >= 0 && IsBackEdge(pc)) {
+        loop_head_[static_cast<std::size_t>(BranchTarget(fn.code[pc]))] = 1;
       }
     }
     pc_off.assign(n, -1);
@@ -1722,8 +1544,8 @@ struct Jit::Impl {
       std::vector<std::pair<std::uint32_t, std::uint32_t>> pcs;
     };
     std::vector<Unit> units;
-    for (const int fi : CompilationOrder(program, opts.jit_pair_profile)) {
-      const FunctionCode& f = program.functions[static_cast<std::size_t>(fi)];
+    for (std::size_t fi = 0; fi < nfns; ++fi) {
+      const FunctionCode& f = program.functions[fi];
       if (f.code.size() > opts.jit_max_fn_insns) {
         ++jit->stats_.bailouts;
         continue;
@@ -1742,11 +1564,11 @@ struct Jit::Impl {
       }
       const std::size_t sz = align16(c.a.code.size());
       if (total + sz > opts.jit_arena_max) {
-        ++jit->stats_.bailouts;  // arena budget: hottest-first order decides
+        ++jit->stats_.bailouts;  // arena budget: the functions that fit stay native
         continue;
       }
       total += sz;
-      units.push_back({fi, std::move(c.a.code), std::move(c.pc_map)});
+      units.push_back({static_cast<int>(fi), std::move(c.a.code), std::move(c.pc_map)});
     }
     if (units.empty()) {
       return nullptr;
@@ -1921,89 +1743,5 @@ JitResult Jit::HelpNewArray(ExecState*, std::uint64_t, std::uint64_t) { return {
 JitResult Jit::HelpCallHost(ExecState*, std::uint64_t) { return {kJitDeopt, 0}; }
 
 #endif  // GRAFTLAB_JIT_X64
-
-// ---------------------------------------------------------------------------
-// Compilation order (portable; exposed for tests/tools). Hot first: functions
-// whose adjacent opcode pairs score high in the PR 3 fusion telemetry, then
-// by static back-edge count (loopy code pays for native speed soonest), then
-// by index for determinism.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-bool JumpTargetOf(const Insn& insn, std::size_t& target) {
-  switch (insn.op) {
-    case Op::kJmp:
-    case Op::kJmpIfFalse:
-    case Op::kJmpIfTrue:
-    case Op::kBrEqI:
-    case Op::kBrNeI:
-    case Op::kBrLtI:
-    case Op::kBrLeI:
-    case Op::kBrGtI:
-    case Op::kBrGeI:
-    case Op::kBrEqRef:
-    case Op::kBrNeRef:
-      target = static_cast<std::size_t>(insn.operand);
-      return true;
-    case Op::kBrEqImmI:
-    case Op::kBrNeImmI:
-    case Op::kBrLtImmI:
-    case Op::kBrLeImmI:
-    case Op::kBrGtImmI:
-    case Op::kBrGeImmI:
-      target = ImmBranchTarget(insn.operand);
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
-std::vector<int> Jit::CompilationOrder(
-    const Program& program,
-    const std::vector<std::pair<std::string, std::uint64_t>>& pair_profile) {
-  std::unordered_map<std::string, std::uint64_t> hot;
-  for (const auto& [pair, count] : pair_profile) {
-    hot[pair] += count;
-  }
-  struct Rank {
-    std::uint64_t score;
-    std::uint64_t back_edges;
-    int index;
-  };
-  std::vector<Rank> ranks;
-  ranks.reserve(program.functions.size());
-  for (std::size_t i = 0; i < program.functions.size(); ++i) {
-    const auto& fn = program.functions[i];
-    Rank r{0, 0, static_cast<int>(i)};
-    for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
-      if (!hot.empty() && pc + 1 < fn.code.size()) {
-        const auto it = hot.find(std::string(OpName(fn.code[pc].op)) + ">" +
-                                 OpName(fn.code[pc + 1].op));
-        if (it != hot.end()) {
-          r.score += it->second;
-        }
-      }
-      std::size_t target = 0;
-      if (JumpTargetOf(fn.code[pc], target) && target <= pc) {
-        ++r.back_edges;
-      }
-    }
-    ranks.push_back(r);
-  }
-  std::sort(ranks.begin(), ranks.end(), [](const Rank& a, const Rank& b) {
-    if (a.score != b.score) return a.score > b.score;
-    if (a.back_edges != b.back_edges) return a.back_edges > b.back_edges;
-    return a.index < b.index;
-  });
-  std::vector<int> order;
-  order.reserve(ranks.size());
-  for (const Rank& r : ranks) {
-    order.push_back(r.index);
-  }
-  return order;
-}
 
 }  // namespace minnow

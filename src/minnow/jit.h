@@ -57,7 +57,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -115,14 +114,6 @@ class Jit {
   // Returns null — leaving the VM on the interpreter — when unavailable,
   // when verification fails, or when nothing compiled.
   static std::unique_ptr<Jit> Compile(VM& vm);
-
-  // The order functions are compiled in: functions containing opcode pairs
-  // hot in `pair_profile` first (PR 3's fusion telemetry, reused to aim the
-  // arena at the hot path), then by static back-edge count, then by index.
-  // Exposed for tests and tools.
-  static std::vector<int> CompilationOrder(
-      const Program& program,
-      const std::vector<std::pair<std::string, std::uint64_t>>& pair_profile);
 
   ~Jit();
   Jit(const Jit&) = delete;

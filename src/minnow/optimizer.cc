@@ -7,122 +7,11 @@ namespace minnow {
 
 namespace {
 
-constexpr std::uint64_t kU32Mask = 0xFFFFFFFFull;
-
-// Evaluates a foldable binary op; returns false for ops that must be left to
-// the runtime (traps, calls, memory). Mirrors vm.cc exactly.
-bool EvalBinop(Op op, std::int64_t a, std::int64_t b, std::int64_t& out) {
-  const auto ua = static_cast<std::uint64_t>(a);
-  const auto ub = static_cast<std::uint64_t>(b);
-  switch (op) {
-    case Op::kAddI: out = static_cast<std::int64_t>(ua + ub); return true;
-    case Op::kSubI: out = static_cast<std::int64_t>(ua - ub); return true;
-    case Op::kMulI: out = static_cast<std::int64_t>(ua * ub); return true;
-    case Op::kDivI:
-      if (b == 0 || (a == std::numeric_limits<std::int64_t>::min() && b == -1)) {
-        return false;  // would trap: preserve
-      }
-      out = a / b;
-      return true;
-    case Op::kModI:
-      if (b == 0 || (a == std::numeric_limits<std::int64_t>::min() && b == -1)) {
-        return false;
-      }
-      out = a % b;
-      return true;
-    case Op::kAndI: out = a & b; return true;
-    case Op::kOrI: out = a | b; return true;
-    case Op::kXorI: out = a ^ b; return true;
-    case Op::kShlI: out = static_cast<std::int64_t>(ua << (ub & 63)); return true;
-    case Op::kShrI: out = a >> (ub & 63); return true;
-    case Op::kAddU: out = static_cast<std::int64_t>(((ua & kU32Mask) + (ub & kU32Mask)) & kU32Mask); return true;
-    case Op::kSubU: out = static_cast<std::int64_t>(((ua & kU32Mask) - (ub & kU32Mask)) & kU32Mask); return true;
-    case Op::kMulU: out = static_cast<std::int64_t>(((ua & kU32Mask) * (ub & kU32Mask)) & kU32Mask); return true;
-    case Op::kDivU:
-      if ((ub & kU32Mask) == 0) {
-        return false;
-      }
-      out = static_cast<std::int64_t>((ua & kU32Mask) / (ub & kU32Mask));
-      return true;
-    case Op::kModU:
-      if ((ub & kU32Mask) == 0) {
-        return false;
-      }
-      out = static_cast<std::int64_t>((ua & kU32Mask) % (ub & kU32Mask));
-      return true;
-    case Op::kShlU: out = static_cast<std::int64_t>(((ua & kU32Mask) << (ub & 31)) & kU32Mask); return true;
-    case Op::kShrU: out = static_cast<std::int64_t>((ua & kU32Mask) >> (ub & 31)); return true;
-    case Op::kEqI: out = a == b ? 1 : 0; return true;
-    case Op::kNeI: out = a != b ? 1 : 0; return true;
-    case Op::kLtI: out = a < b ? 1 : 0; return true;
-    case Op::kLeI: out = a <= b ? 1 : 0; return true;
-    case Op::kGtI: out = a > b ? 1 : 0; return true;
-    case Op::kGeI: out = a >= b ? 1 : 0; return true;
-    case Op::kLtU: out = ua < ub ? 1 : 0; return true;
-    case Op::kLeU: out = ua <= ub ? 1 : 0; return true;
-    case Op::kGtU: out = ua > ub ? 1 : 0; return true;
-    case Op::kGeU: out = ua >= ub ? 1 : 0; return true;
-    default:
-      return false;
-  }
-}
-
-bool EvalUnary(Op op, std::int64_t a, std::int64_t& out) {
-  const auto ua = static_cast<std::uint64_t>(a);
-  switch (op) {
-    case Op::kNegI: out = static_cast<std::int64_t>(0 - ua); return true;
-    case Op::kNotI: out = ~a; return true;
-    case Op::kNotU: out = static_cast<std::int64_t>((~ua) & kU32Mask); return true;
-    case Op::kNotB: out = a == 0 ? 1 : 0; return true;
-    case Op::kCastU32: out = static_cast<std::int64_t>(ua & kU32Mask); return true;
-    case Op::kCastByte: out = static_cast<std::int64_t>(ua & 0xFF); return true;
-    default:
-      return false;
-  }
-}
-
-bool IsImmBranch(Op op) {
-  return op == Op::kBrEqImmI || op == Op::kBrNeImmI || op == Op::kBrLtImmI ||
-         op == Op::kBrLeImmI || op == Op::kBrGtImmI || op == Op::kBrGeImmI;
-}
-
-bool IsBranch(Op op) {
-  switch (op) {
-    case Op::kJmp:
-    case Op::kJmpIfFalse:
-    case Op::kJmpIfTrue:
-    case Op::kBrEqI:
-    case Op::kBrNeI:
-    case Op::kBrLtI:
-    case Op::kBrLeI:
-    case Op::kBrGtI:
-    case Op::kBrGeI:
-    case Op::kBrEqRef:
-    case Op::kBrNeRef:
-      return true;
-    default:
-      return IsImmBranch(op);
-  }
-}
-
-std::int64_t GetBranchTarget(const Insn& insn) {
-  return IsImmBranch(insn.op) ? static_cast<std::int64_t>(ImmBranchTarget(insn.operand))
-                              : insn.operand;
-}
-
-void SetBranchTarget(Insn& insn, std::int64_t target) {
-  if (IsImmBranch(insn.op)) {
-    insn.operand = PackImmBranch(ImmBranchValue(insn.operand), static_cast<std::uint32_t>(target));
-  } else {
-    insn.operand = target;
-  }
-}
-
-std::vector<bool> JumpTargets(const FunctionCode& fn) {
+std::vector<bool> JumpTargets(const Program& program, const FunctionCode& fn) {
   std::vector<bool> targets(fn.code.size() + 1, false);
   for (const Insn& insn : fn.code) {
-    if (IsBranch(insn.op)) {
-      targets[static_cast<std::size_t>(GetBranchTarget(insn))] = true;
+    if (ShapeOf(program, insn).branch) {
+      targets[static_cast<std::size_t>(BranchTarget(insn))] = true;
     }
   }
   return targets;
@@ -130,7 +19,7 @@ std::vector<bool> JumpTargets(const FunctionCode& fn) {
 
 // Removes instructions where keep[i] is false, remapping branch targets to
 // the first kept instruction at or after the old target.
-void Compact(FunctionCode& fn, const std::vector<bool>& keep) {
+void Compact(const Program& program, FunctionCode& fn, const std::vector<bool>& keep) {
   std::vector<std::int64_t> remap(fn.code.size() + 1, 0);
   std::int64_t next = 0;
   for (std::size_t i = 0; i < fn.code.size(); ++i) {
@@ -148,131 +37,12 @@ void Compact(FunctionCode& fn, const std::vector<bool>& keep) {
       continue;
     }
     Insn insn = fn.code[i];
-    if (IsBranch(insn.op)) {
-      SetBranchTarget(insn, remap[static_cast<std::size_t>(GetBranchTarget(insn))]);
+    if (ShapeOf(program, insn).branch) {
+      SetBranchTarget(insn, remap[static_cast<std::size_t>(BranchTarget(insn))]);
     }
     out.push_back(insn);
   }
   fn.code = std::move(out);
-}
-
-// One pass of local folding; returns the number of folds performed.
-std::size_t FoldConstants(FunctionCode& fn, OptimizeStats& stats) {
-  const auto targets = JumpTargets(fn);
-  std::vector<bool> keep(fn.code.size(), true);
-  std::size_t folds = 0;
-
-  for (std::size_t i = 0; i + 1 < fn.code.size(); ++i) {
-    if (!keep[i] || fn.code[i].op != Op::kConstInt) {
-      continue;
-    }
-    // Unary fold: [Const a][unop], no label between.
-    if (!targets[i + 1]) {
-      std::int64_t folded;
-      if (EvalUnary(fn.code[i + 1].op, fn.code[i].operand, folded)) {
-        fn.code[i + 1] = {Op::kConstInt, folded};
-        keep[i] = false;
-        ++folds;
-        ++stats.constants_folded;
-        continue;
-      }
-      // Constant-condition branch: [Const c][JmpIfX t].
-      const Op branch = fn.code[i + 1].op;
-      if (branch == Op::kJmpIfFalse || branch == Op::kJmpIfTrue) {
-        const bool truthy = fn.code[i].operand != 0;
-        const bool taken = (branch == Op::kJmpIfTrue) == truthy;
-        if (taken) {
-          fn.code[i + 1] = {Op::kJmp, fn.code[i + 1].operand};
-        } else {
-          keep[i + 1] = false;
-        }
-        keep[i] = false;
-        ++folds;
-        ++stats.branches_folded;
-        continue;
-      }
-    }
-    // Binary fold: [Const a][Const b][binop], no labels inside.
-    if (i + 2 < fn.code.size() && fn.code[i + 1].op == Op::kConstInt && !targets[i + 1] &&
-        !targets[i + 2]) {
-      std::int64_t folded;
-      if (EvalBinop(fn.code[i + 2].op, fn.code[i].operand, fn.code[i + 1].operand, folded)) {
-        fn.code[i + 2] = {Op::kConstInt, folded};
-        keep[i] = false;
-        keep[i + 1] = false;
-        ++folds;
-        ++stats.constants_folded;
-      }
-    }
-  }
-
-  if (folds > 0) {
-    Compact(fn, keep);
-  }
-  return folds;
-}
-
-std::size_t ThreadJumps(FunctionCode& fn, OptimizeStats& stats) {
-  std::size_t threaded = 0;
-  for (Insn& insn : fn.code) {
-    if (!IsBranch(insn.op)) {
-      continue;
-    }
-    // Follow chains of unconditional jumps (cycle-bounded).
-    const std::int64_t original = GetBranchTarget(insn);
-    std::int64_t target = original;
-    int hops = 0;
-    while (hops < 64 && static_cast<std::size_t>(target) < fn.code.size() &&
-           fn.code[static_cast<std::size_t>(target)].op == Op::kJmp &&
-           fn.code[static_cast<std::size_t>(target)].operand != target) {
-      target = fn.code[static_cast<std::size_t>(target)].operand;
-      ++hops;
-    }
-    if (target != original) {
-      SetBranchTarget(insn, target);
-      ++threaded;
-      ++stats.jumps_threaded;
-    }
-  }
-  return threaded;
-}
-
-std::size_t RemoveUnreachable(const Program& program, FunctionCode& fn, OptimizeStats& stats) {
-  // Reachability over the CFG (same walk as the verifier's).
-  std::vector<bool> reachable(fn.code.size(), false);
-  std::vector<std::size_t> worklist{0};
-  reachable[0] = true;
-  while (!worklist.empty()) {
-    const std::size_t pc = worklist.back();
-    worklist.pop_back();
-    const Insn& insn = fn.code[pc];
-    const bool terminal = insn.op == Op::kJmp || insn.op == Op::kRet ||
-                          insn.op == Op::kRetVoid || insn.op == Op::kTrap;
-    if (IsBranch(insn.op)) {
-      const auto target = static_cast<std::size_t>(GetBranchTarget(insn));
-      if (target < fn.code.size() && !reachable[target]) {
-        reachable[target] = true;
-        worklist.push_back(target);
-      }
-    }
-    if (!terminal && pc + 1 < fn.code.size() && !reachable[pc + 1]) {
-      reachable[pc + 1] = true;
-      worklist.push_back(pc + 1);
-    }
-  }
-  (void)program;
-
-  std::size_t removed = 0;
-  for (std::size_t i = 0; i < fn.code.size(); ++i) {
-    if (!reachable[i]) {
-      ++removed;
-    }
-  }
-  if (removed > 0) {
-    Compact(fn, reachable);
-    stats.unreachable_removed += removed;
-  }
-  return removed;
 }
 
 // Maps a comparison followed by kJmpIfTrue (or, when `inverted`, kJmpIfFalse)
@@ -310,8 +80,8 @@ bool FitsInt32(std::int64_t v) {
          v <= std::numeric_limits<std::int32_t>::max();
 }
 
-std::size_t FuseFunction(FunctionCode& fn, FuseStats& stats) {
-  const auto targets = JumpTargets(fn);
+std::size_t FuseFunction(const Program& program, FunctionCode& fn, FuseStats& stats) {
+  const auto targets = JumpTargets(program, fn);
   std::vector<bool> keep(fn.code.size(), true);
   std::size_t fused = 0;
 
@@ -442,32 +212,12 @@ std::size_t FuseFunction(FunctionCode& fn, FuseStats& stats) {
   }
 
   if (fused > 0) {
-    Compact(fn, keep);
+    Compact(program, fn, keep);
   }
   return fused;
 }
 
 }  // namespace
-
-OptimizeStats Optimize(Program& program) {
-  OptimizeStats stats;
-  for (auto& fn : program.functions) {
-    stats.instructions_before += fn.code.size();
-    // Iterate to a (bounded) fixpoint: folding exposes more folds and new
-    // dead code; threading exposes dead jump islands.
-    for (int round = 0; round < 8; ++round) {
-      std::size_t changes = 0;
-      changes += FoldConstants(fn, stats);
-      changes += ThreadJumps(fn, stats);
-      changes += RemoveUnreachable(program, fn, stats);
-      if (changes == 0) {
-        break;
-      }
-    }
-    stats.instructions_after += fn.code.size();
-  }
-  return stats;
-}
 
 FuseStats FuseSuperinstructions(Program& program) {
   FuseStats stats;
@@ -475,7 +225,7 @@ FuseStats FuseSuperinstructions(Program& program) {
     stats.instructions_before += fn.code.size();
     // One round exposes no second-order fusions (no pattern starts with a
     // superinstruction), so a single pass per function is a fixpoint.
-    FuseFunction(fn, stats);
+    FuseFunction(program, fn, stats);
     stats.instructions_after += fn.code.size();
   }
   return stats;

@@ -1,23 +1,11 @@
-// Minnow bytecode optimizer — an optional load-time pass.
+// Minnow superinstruction fusion — a load-time pass for the interpreter.
 //
-// The paper's §4.3 draws "a flexible line between generating native code at
-// load time and dynamically generating native code from interpreted code";
-// this pass sits at the cheap end of that line: classic javac-style
-// improvements on the stack bytecode itself, before either execution engine
-// sees it.
-//
-//   * constant folding (binary and unary ops over ConstInt operands, with
-//     trapping cases like division by zero deliberately left un-folded so
-//     runtime semantics are preserved bit-for-bit);
-//   * constant-condition branch folding (ConstInt + JmpIfX -> Jmp or fall
-//     through);
-//   * jump threading (a branch to an unconditional jump takes its target);
-//   * unreachable-code elimination.
-//
-// The pass never changes observable behavior: optimized programs must pass
-// the verifier and execute identically (differential-tested in
-// tests/minnow_optimizer_test.cc). Fuel accounting changes — optimized code
-// retires fewer instructions — which is the point.
+// Fusion rewrites adjacent base ops into the superinstructions bytecode.h
+// defines (each one stands for the base sequence Expand returns), so the
+// interpreter dispatches once where it would have dispatched two or three
+// times. The verifier, the elision pass and the JIT read every fused opcode
+// through its expansion, so fusion changes what they see only in
+// instruction (and therefore fuel) counts.
 
 #ifndef GRAFTLAB_SRC_MINNOW_OPTIMIZER_H_
 #define GRAFTLAB_SRC_MINNOW_OPTIMIZER_H_
@@ -25,19 +13,6 @@
 #include "src/minnow/bytecode.h"
 
 namespace minnow {
-
-struct OptimizeStats {
-  std::size_t instructions_before = 0;
-  std::size_t instructions_after = 0;
-  std::size_t constants_folded = 0;
-  std::size_t branches_folded = 0;
-  std::size_t jumps_threaded = 0;
-  std::size_t unreachable_removed = 0;
-};
-
-// Optimizes every function in place. The caller should re-run VerifyProgram
-// afterwards (Program::max_stack may shrink).
-OptimizeStats Optimize(Program& program);
 
 struct FuseStats {
   std::size_t instructions_before = 0;

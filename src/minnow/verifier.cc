@@ -8,259 +8,22 @@ namespace minnow {
 
 namespace {
 
-struct Effect {
-  int pops = 0;
-  int pushes = 0;
-  bool terminal = false;  // control does not fall through
-  bool branch = false;    // has a jump-target operand
-};
-
-// Returns false if the opcode itself is unknown.
-bool StackEffect(const Program& program, const Insn& insn, Effect& effect, std::string& error) {
-  switch (insn.op) {
-    case Op::kNop:
-      break;
-    case Op::kConstInt:
-    case Op::kConstNull:
-    case Op::kLoadLocal:
-    case Op::kLoadGlobal:
-      effect.pushes = 1;
-      break;
-    case Op::kStoreLocal:
-    case Op::kStoreGlobal:
-    case Op::kPop:
-      effect.pops = 1;
-      break;
-    case Op::kDup:
-      effect.pops = 1;
-      effect.pushes = 2;
-      break;
-    case Op::kNegI:
-    case Op::kNotI:
-    case Op::kNotU:
-    case Op::kNotB:
-    case Op::kCastU32:
-    case Op::kCastByte:
-    case Op::kArrayLen:
-      effect.pops = 1;
-      effect.pushes = 1;
-      break;
-    case Op::kAddI:
-    case Op::kSubI:
-    case Op::kMulI:
-    case Op::kDivI:
-    case Op::kModI:
-    case Op::kAndI:
-    case Op::kOrI:
-    case Op::kXorI:
-    case Op::kShlI:
-    case Op::kShrI:
-    case Op::kAddU:
-    case Op::kSubU:
-    case Op::kMulU:
-    case Op::kDivU:
-    case Op::kModU:
-    case Op::kShlU:
-    case Op::kShrU:
-    case Op::kEqI:
-    case Op::kNeI:
-    case Op::kLtI:
-    case Op::kLeI:
-    case Op::kGtI:
-    case Op::kGeI:
-    case Op::kLtU:
-    case Op::kLeU:
-    case Op::kGtU:
-    case Op::kGeU:
-    case Op::kEqRef:
-    case Op::kNeRef:
-      effect.pops = 2;
-      effect.pushes = 1;
-      break;
-    case Op::kJmp:
-      effect.branch = true;
-      effect.terminal = true;
-      break;
-    case Op::kJmpIfFalse:
-    case Op::kJmpIfTrue:
-      effect.pops = 1;
-      effect.branch = true;
-      break;
-    case Op::kCall: {
-      if (insn.operand < 0 ||
-          static_cast<std::size_t>(insn.operand) >= program.functions.size()) {
-        error = "call target out of range";
-        return false;
-      }
-      const auto& callee = program.functions[static_cast<std::size_t>(insn.operand)];
-      effect.pops = callee.num_params;
-      effect.pushes = callee.returns_value ? 1 : 0;
-      break;
-    }
-    case Op::kCallHost: {
-      if (insn.operand < 0 ||
-          static_cast<std::size_t>(insn.operand) >= program.host_imports.size()) {
-        error = "host import index out of range";
-        return false;
-      }
-      const auto& host = program.host_imports[static_cast<std::size_t>(insn.operand)];
-      effect.pops = host.arity;
-      effect.pushes = host.returns_value ? 1 : 0;
-      break;
-    }
-    case Op::kRet:
-      effect.pops = 1;
-      effect.terminal = true;
-      break;
-    case Op::kRetVoid:
-    case Op::kTrap:
-      effect.terminal = true;
-      break;
-    case Op::kNewStruct:
-      if (insn.operand < 0 || static_cast<std::size_t>(insn.operand) >= program.structs.size()) {
-        error = "struct id out of range";
-        return false;
-      }
-      effect.pushes = 1;
-      break;
-    case Op::kNewArray:
-      effect.pops = 1;
-      effect.pushes = 1;
-      break;
-    case Op::kLoadField:
-      effect.pops = 1;
-      effect.pushes = 1;
-      break;
-    case Op::kStoreField:
-      effect.pops = 2;
-      break;
-    case Op::kLoadElem:
-      effect.pops = 2;
-      effect.pushes = 1;
-      break;
-    case Op::kStoreElem:
-      effect.pops = 3;
-      break;
-    case Op::kLoadAddI:
-    case Op::kAddConstI:
-      effect.pops = 1;
-      effect.pushes = 1;
-      break;
-    case Op::kConstStore:
-      break;
-    case Op::kBrEqI:
-    case Op::kBrNeI:
-    case Op::kBrLtI:
-    case Op::kBrLeI:
-    case Op::kBrGtI:
-    case Op::kBrGeI:
-    case Op::kBrEqRef:
-    case Op::kBrNeRef:
-      effect.pops = 2;
-      effect.branch = true;
-      break;
-    case Op::kBrEqImmI:
-    case Op::kBrNeImmI:
-    case Op::kBrLtImmI:
-    case Op::kBrLeImmI:
-    case Op::kBrGtImmI:
-    case Op::kBrGeImmI:
-      effect.pops = 1;
-      effect.branch = true;
-      break;
-    case Op::kLoadLocal2:
-    case Op::kLoadConstI:
-    case Op::kLoadGlobalLocal:
-      effect.pushes = 2;
-      break;
-    case Op::kMoveLocal:
-      break;
-    case Op::kStoreLoad:
-      effect.pops = 1;
-      effect.pushes = 1;
-      break;
-    // Unchecked variants mirror their checked originals' stack shapes.
-    case Op::kLoadElemNC:
-      effect.pops = 2;
-      effect.pushes = 1;
-      break;
-    case Op::kStoreElemNC:
-      effect.pops = 3;
-      break;
-    case Op::kLoadFieldNC:
-    case Op::kArrayLenNC:
-      effect.pops = 1;
-      effect.pushes = 1;
-      break;
-    case Op::kStoreFieldNC:
-      effect.pops = 2;
-      break;
-    case Op::kDivNZ:
-    case Op::kModNZ:
-      effect.pops = 2;
-      effect.pushes = 1;
-      break;
-    default:
-      error = "unknown opcode";
-      return false;
-  }
-  return true;
-}
-
-// Imm-branch operands pack immediate<<32 | target; everything else branches
-// on the raw operand.
-std::int64_t BranchTargetOf(const Insn& insn) {
-  switch (insn.op) {
-    case Op::kBrEqImmI:
-    case Op::kBrNeImmI:
-    case Op::kBrLtImmI:
-    case Op::kBrLeImmI:
-    case Op::kBrGtImmI:
-    case Op::kBrGeImmI:
-      return static_cast<std::int64_t>(ImmBranchTarget(insn.operand));
-    default:
-      return insn.operand;
-  }
-}
-
 bool ValidElemKind(std::int64_t operand) {
   const auto kind = static_cast<TypeKind>(operand);
   return kind == TypeKind::kInt || kind == TypeKind::kU32 || kind == TypeKind::kByte ||
          kind == TypeKind::kBool;
 }
 
-// Operand range checks that don't affect stack shape.
+// Operand range checks for one base instruction. A superinstruction is
+// checked through its expansion, so each packed index is checked, and named,
+// as the base op that uses it.
 bool CheckOperand(const Program& program, const FunctionCode& fn, const Insn& insn,
                   std::string& error) {
   switch (insn.op) {
     case Op::kLoadLocal:
     case Op::kStoreLocal:
-    case Op::kLoadAddI:
       if (insn.operand < 0 || insn.operand >= fn.num_locals) {
         error = "local slot out of range";
-        return false;
-      }
-      break;
-    case Op::kConstStore:
-    case Op::kLoadConstI:
-      if (ConstStoreSlot(insn.operand) >= static_cast<std::uint32_t>(fn.num_locals)) {
-        error = "local slot out of range";
-        return false;
-      }
-      break;
-    case Op::kLoadLocal2:
-    case Op::kMoveLocal:
-    case Op::kStoreLoad:
-      if (SlotPairA(insn.operand) >= static_cast<std::uint32_t>(fn.num_locals) ||
-          SlotPairB(insn.operand) >= static_cast<std::uint32_t>(fn.num_locals)) {
-        error = "local slot out of range";
-        return false;
-      }
-      break;
-    case Op::kLoadGlobalLocal:
-      if (SlotPairA(insn.operand) >= program.globals.size() ||
-          SlotPairB(insn.operand) >= static_cast<std::uint32_t>(fn.num_locals)) {
-        error = "global index out of range";
         return false;
       }
       break;
@@ -268,6 +31,26 @@ bool CheckOperand(const Program& program, const FunctionCode& fn, const Insn& in
     case Op::kStoreGlobal:
       if (insn.operand < 0 || static_cast<std::size_t>(insn.operand) >= program.globals.size()) {
         error = "global index out of range";
+        return false;
+      }
+      break;
+    case Op::kCall:
+      if (insn.operand < 0 ||
+          static_cast<std::size_t>(insn.operand) >= program.functions.size()) {
+        error = "call target out of range";
+        return false;
+      }
+      break;
+    case Op::kCallHost:
+      if (insn.operand < 0 ||
+          static_cast<std::size_t>(insn.operand) >= program.host_imports.size()) {
+        error = "host import index out of range";
+        return false;
+      }
+      break;
+    case Op::kNewStruct:
+      if (insn.operand < 0 || static_cast<std::size_t>(insn.operand) >= program.structs.size()) {
+        error = "struct id out of range";
         return false;
       }
       break;
@@ -337,18 +120,22 @@ VerifyReport VerifyFunction(const Program& program, FunctionCode& fn, int fn_ind
     const Insn& insn = fn.code[pc];
     const int depth = depth_at[pc];
 
-    std::string error;
-    Effect effect;
-    if (!StackEffect(program, insn, effect, error)) {
-      return fail(pc, error);
+    if (static_cast<std::size_t>(insn.op) >= kNumOps) {
+      return fail(pc, "unknown opcode");
     }
-    if (!CheckOperand(program, fn, insn, error)) {
-      return fail(pc, error);
+    Insn ops[kMaxExpansion];
+    const int count = Expand(insn, ops);
+    for (int i = 0; i < count; ++i) {
+      std::string error;
+      if (!CheckOperand(program, fn, ops[i], error)) {
+        return fail(pc, error);
+      }
     }
-    if (depth < effect.pops) {
+    const Shape shape = ShapeOf(program, insn);
+    if (depth < shape.pops) {
       return fail(pc, "stack underflow");
     }
-    const int after = depth - effect.pops + effect.pushes;
+    const int after = depth - shape.pops + shape.pushes;
     if (after > kMaxStack) {
       return fail(pc, "stack overflow (static)");
     }
@@ -369,8 +156,8 @@ VerifyReport VerifyFunction(const Program& program, FunctionCode& fn, int fn_ind
       return true;
     };
 
-    if (effect.branch) {
-      const std::int64_t target = BranchTargetOf(insn);
+    if (shape.branch) {
+      const std::int64_t target = BranchTarget(insn);
       if (target < 0 || static_cast<std::size_t>(target) >= n) {
         return fail(pc, "branch target out of range");
       }
@@ -378,7 +165,7 @@ VerifyReport VerifyFunction(const Program& program, FunctionCode& fn, int fn_ind
         return fail(pc, "inconsistent stack depth at branch target");
       }
     }
-    if (!effect.terminal) {
+    if (!shape.terminal) {
       if (pc + 1 >= n) {
         return fail(pc, "control falls off the end of the function");
       }

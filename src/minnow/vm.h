@@ -106,16 +106,13 @@ struct VmOptions {
   // --- kJit tuning (ignored by the interpreter dispatchers) ---
   // Functions longer than this stay interpreted (compile-time bound).
   std::size_t jit_max_fn_insns = 16384;
-  // Total native-code budget; functions are compiled hottest-first (see
-  // Jit::CompilationOrder) until the arena is full.
+  // Total native-code budget; functions are compiled in index order, and
+  // one that no longer fits stays interpreted.
   std::size_t jit_arena_max = 8u << 20;
   // When set, opcodes the filter rejects are compiled as unconditional deopt
   // exits instead of native templates. Exists to force the deopt machinery in
   // tests; production leaves it empty.
   std::function<bool(Op)> jit_compile_filter;
-  // Adjacent-pair telemetry ("load.local>add.i" -> count) from a profiling
-  // run (VM::OpcodePairCounts), reused to order compilation hottest-first.
-  std::vector<std::pair<std::string, std::uint64_t>> jit_pair_profile;
 };
 
 class VM : public Heap::RootProvider {

@@ -9,8 +9,8 @@
 // (threaded dispatch, superinstruction fusion, arena frames) that changes
 // *any* observable result fails loudly.
 //
-// The second half runs the Minnow grafts across the dispatch/optimizer/
-// fusion/check-elision configuration matrix: every configuration must
+// The second half runs the Minnow grafts across the dispatch/fusion/
+// check-elision configuration matrix: every configuration must
 // produce the same traces as the plain switch interpreter on raw, fully
 // checked bytecode — including the configurations where the elision pass
 // has rewritten proven-safe accesses to their unchecked variants.
@@ -189,11 +189,11 @@ INSTANTIATE_TEST_SUITE_P(AllTechnologies, LdiskTraceConformance,
 
 // --- Minnow configuration matrix ---
 //
-// Every VM configuration the engine rewrite introduced — switch vs threaded
-// vs jit dispatch, optimizer on/off, superinstruction fusion on/off, check
-// elision on/off — must produce the same traces as the plain reference
-// (switch dispatch, raw bytecode). The jit rows cover Java/translated, which
-// is the JIT with fusion on and elision off.
+// Every VM configuration — switch vs threaded vs jit dispatch,
+// superinstruction fusion on/off, check elision on/off (12 configs) — must
+// produce the same traces as the plain reference (switch dispatch, raw
+// bytecode). The jit rows cover Java/translated, which is the JIT with
+// fusion on and elision off.
 
 struct MinnowCase {
   std::string name;
@@ -202,38 +202,22 @@ struct MinnowCase {
 
 std::vector<MinnowCase> MinnowMatrix() {
   std::vector<MinnowCase> cases;
-  for (const bool threaded : {false, true}) {
-    for (const bool optimize : {false, true}) {
-      for (const bool fuse : {false, true}) {
-        for (const bool elide : {false, true}) {
-          grafts::MinnowConfig config;
-          config.optimize = optimize;
-          config.fuse = fuse;
-          config.elide = elide;
-          config.dispatch =
-              threaded ? minnow::DispatchMode::kThreaded : minnow::DispatchMode::kSwitch;
-          cases.push_back({std::string(threaded ? "threaded" : "switch") +
-                               (optimize ? "_opt" : "") + (fuse ? "_fused" : "") +
-                               (elide ? "_elided" : ""),
-                           config});
-        }
-      }
-    }
-  }
-  // kJit rows: the template JIT must be trace-identical in every
-  // {optimize, fuse, elide} combination. In builds without JIT support these
-  // fall back to the interpreter and remain valid (if redundant) rows.
-  for (const bool optimize : {false, true}) {
+  // kJit rows: in builds without JIT support they fall back to the
+  // interpreter and remain valid (if redundant) rows.
+  for (const minnow::DispatchMode dispatch : {minnow::DispatchMode::kSwitch,
+                                              minnow::DispatchMode::kThreaded,
+                                              minnow::DispatchMode::kJit}) {
     for (const bool fuse : {false, true}) {
       for (const bool elide : {false, true}) {
         grafts::MinnowConfig config;
-        config.optimize = optimize;
         config.fuse = fuse;
         config.elide = elide;
-        config.jit = true;
-        cases.push_back({std::string("jit") + (optimize ? "_opt" : "") +
-                             (fuse ? "_fused" : "") + (elide ? "_elided" : ""),
-                         config});
+        config.dispatch = dispatch;
+        const char* name = dispatch == minnow::DispatchMode::kJit        ? "jit"
+                           : dispatch == minnow::DispatchMode::kThreaded ? "threaded"
+                                                                         : "switch";
+        cases.push_back(
+            {std::string(name) + (fuse ? "_fused" : "") + (elide ? "_elided" : ""), config});
       }
     }
   }

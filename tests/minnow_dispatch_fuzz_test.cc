@@ -4,9 +4,9 @@
 // arithmetic over edge-case constants, bounded loops, branches, and — for
 // the elision corpus — arrays, nullable struct references, and guarded or
 // unguarded dereferences), compiles each once, and runs the same bytecode
-// through every configuration the engine rewrite introduced: {switch,
-// threaded dispatch, jit} x {optimizer on/off} x {superinstruction fusion
-// on/off} x {check elision on/off}, plus jit variants with a compile filter
+// through every configuration: {switch, threaded dispatch, jit} x
+// {superinstruction fusion on/off} x {check elision on/off}, plus jit
+// variants with a compile filter
 // that turns common opcodes into forced deopts so every program ping-pongs
 // between native code and the interpreter. Every configuration must produce
 // the identical result — the same value, or the same trap message — as the
@@ -57,7 +57,6 @@ using minnow::VmOptions;
 
 struct Config {
   DispatchMode dispatch;
-  bool optimize;
   bool fuse;
   bool elide = false;
   // kJit only: compile the add family as unconditional side exits, forcing a
@@ -70,7 +69,6 @@ struct Config {
                        : dispatch == DispatchMode::kJit    ? "jit"
                                                            : "switch";
     if (jit_deopt) name += "+deopt";
-    if (optimize) name += "+opt";
     if (fuse) name += "+fuse";
     if (elide) name += "+elide";
     return name;
@@ -81,13 +79,11 @@ std::vector<Config> AllConfigs() {
   std::vector<Config> configs;
   for (const DispatchMode dispatch :
        {DispatchMode::kSwitch, DispatchMode::kThreaded, DispatchMode::kJit}) {
-    for (const bool optimize : {false, true}) {
-      for (const bool fuse : {false, true}) {
-        for (const bool elide : {false, true}) {
-          configs.push_back({dispatch, optimize, fuse, elide});
-          if (dispatch == DispatchMode::kJit) {
-            configs.push_back({dispatch, optimize, fuse, elide, /*jit_deopt=*/true});
-          }
+    for (const bool fuse : {false, true}) {
+      for (const bool elide : {false, true}) {
+        configs.push_back({dispatch, fuse, elide});
+        if (dispatch == DispatchMode::kJit) {
+          configs.push_back({dispatch, fuse, elide, /*jit_deopt=*/true});
         }
       }
     }
@@ -106,7 +102,7 @@ bool DenyAddFamily(Op op) {
 // different reason is wrong even if it traps at the same instruction.
 // `retired` carries the fuel-equivalence side of the contract: check
 // elision is a 1:1 opcode rewrite, so checked and elided runs of the same
-// {dispatch, optimize, fuse} configuration must retire the same count
+// {dispatch, fuse} configuration must retire the same count
 // (AgreesWith ignores it; the elision soak compares it explicitly).
 struct Outcome {
   bool trapped = false;
@@ -128,10 +124,6 @@ std::string Describe(const Outcome& outcome) {
 Outcome RunConfig(const Program& compiled, const Config& config, const char* fn,
                   std::initializer_list<std::int64_t> args, std::int64_t fuel = -1) {
   Program program = compiled;  // each config transforms its own copy
-  if (config.optimize) {
-    minnow::Optimize(program);
-    minnow::VerifyProgram(program);
-  }
   if (config.fuse) {
     minnow::FuseSuperinstructions(program);
     minnow::VerifyProgram(program);
@@ -171,7 +163,7 @@ void ExpectAllConfigsAgree(const std::string& source, const char* fn,
                            const std::string& label) {
   const Program compiled = Compile(source);
   const Outcome reference =
-      RunConfig(compiled, {DispatchMode::kSwitch, false, false}, fn, args);
+      RunConfig(compiled, {DispatchMode::kSwitch, false}, fn, args);
   for (const Config& config : AllConfigs()) {
     const Outcome outcome = RunConfig(compiled, config, fn, args);
     EXPECT_EQ(outcome, reference)
@@ -454,14 +446,14 @@ TEST(DispatchFuzz, JitFuelLedgerMatchesInterpreterUnderBudgets) {
     const Program compiled = Compile(source);
     for (const bool fuse : {false, true}) {
       for (const bool elide : {false, true}) {
-        const Config interp{DispatchMode::kSwitch, false, fuse, elide};
+        const Config interp{DispatchMode::kSwitch, fuse, elide};
         const std::int64_t full =
             static_cast<std::int64_t>(RunConfig(compiled, interp, "f", {7, -3, 1000}).retired);
         for (const std::int64_t budget : {std::int64_t{0}, std::int64_t{1}, full / 3, full / 2,
                                           full - 1, full, full + 1}) {
           const Outcome want = RunConfig(compiled, interp, "f", {7, -3, 1000}, budget);
           for (const bool deopt : {false, true}) {
-            const Config jit{DispatchMode::kJit, false, fuse, elide, deopt};
+            const Config jit{DispatchMode::kJit, fuse, elide, deopt};
             const Outcome got = RunConfig(compiled, jit, "f", {7, -3, 1000}, budget);
             EXPECT_TRUE(got == want && got.retired == want.retired && got.fuel == want.fuel)
                 << "program " << p << " [" << jit.Name() << "] budget " << budget << ": got "
@@ -493,11 +485,11 @@ TEST(DispatchFuzz, DivisionEdgeCasesTrapIdentically) {
 
   // The traps must be the *arithmetic* traps, not incidental agreement.
   const Outcome div0 =
-      RunConfig(Compile(div), {DispatchMode::kThreaded, false, true}, "f", {1, 0});
+      RunConfig(Compile(div), {DispatchMode::kThreaded, true}, "f", {1, 0});
   ASSERT_TRUE(div0.trapped);
   EXPECT_EQ(div0.trap, "integer division by zero");
   const Outcome overflow =
-      RunConfig(Compile(div), {DispatchMode::kThreaded, true, true}, "f", {int_min, -1});
+      RunConfig(Compile(div), {DispatchMode::kThreaded, true}, "f", {int_min, -1});
   ASSERT_TRUE(overflow.trapped);
   EXPECT_EQ(overflow.trap, "integer division overflow");
 
@@ -641,10 +633,10 @@ TEST(DispatchFuzz, FusionChangesFuelButNotResults) {
 //
 // Every verifier-accepted generated program (now with arrays, nullable
 // references, and guarded/unguarded/out-of-bounds accesses) runs checked
-// and elided under {switch, threaded} x {fuse on/off} (optimize alternates
-// by seed). The contract is total: same value or same trap message, and —
-// because elision replaces opcodes strictly 1:1 — the same
-// instructions_retired count, which is the supervisor's fuel ledger.
+// and elided under {switch, threaded, jit} x {fuse on/off}. The contract
+// is total: same value or same trap message, and — because elision
+// replaces opcodes strictly 1:1 — the same instructions_retired count,
+// which is the supervisor's fuel ledger.
 
 TEST(ElisionFuzz, CheckedAndElidedAgreeOnResultsTrapsAndFuel) {
   int programs = 300;  // local default; CI sets GRAFTLAB_FUZZ_PROGRAMS=10000
@@ -663,12 +655,11 @@ TEST(ElisionFuzz, CheckedAndElidedAgreeOnResultsTrapsAndFuel) {
       fflush(stderr);
     }
     const Program compiled = Compile(source);
-    const bool optimize = (p % 2) == 1;
     for (const DispatchMode dispatch :
          {DispatchMode::kSwitch, DispatchMode::kThreaded, DispatchMode::kJit}) {
       for (const bool fuse : {false, true}) {
-        const Config checked{dispatch, optimize, fuse, false};
-        const Config elided{dispatch, optimize, fuse, true};
+        const Config checked{dispatch, fuse, false};
+        const Config elided{dispatch, fuse, true};
         for (const auto& args : arg_sets) {
           const Outcome want = RunConfig(compiled, checked, "f", args);
           const Outcome got = RunConfig(compiled, elided, "f", args);
@@ -712,11 +703,11 @@ TEST(ValueNumberingFuzz, RepeatedLoadsAndDivisionsAgreeWithTheReference) {
     const std::string source = gen.Generate();
     const Program compiled = Compile(source);
     for (const auto& args : arg_sets) {
-      const Outcome want = RunConfig(compiled, {DispatchMode::kSwitch, false, false}, "f", args);
+      const Outcome want = RunConfig(compiled, {DispatchMode::kSwitch, false}, "f", args);
       for (const bool fuse : {false, true}) {
         for (const bool elide : {false, true}) {
-          const Config jit{DispatchMode::kJit, false, fuse, elide};
-          const Config interp{DispatchMode::kSwitch, false, fuse, elide};
+          const Config jit{DispatchMode::kJit, fuse, elide};
+          const Config interp{DispatchMode::kSwitch, fuse, elide};
           const Outcome got = RunConfig(compiled, jit, "f", args);
           const Outcome same_code = RunConfig(compiled, interp, "f", args);
           ASSERT_TRUE(want.AgreesWith(got))
@@ -736,8 +727,8 @@ void ExpectCheckedElidedAgree(const char* source, const char* fn,
                               std::initializer_list<std::int64_t> args, const char* label,
                               bool expect_trap) {
   const Program compiled = Compile(source);
-  const Config checked{DispatchMode::kSwitch, false, false, false};
-  const Config elided{DispatchMode::kSwitch, false, false, true};
+  const Config checked{DispatchMode::kSwitch, false, false};
+  const Config elided{DispatchMode::kSwitch, false, true};
   const Outcome want = RunConfig(compiled, checked, fn, args);
   const Outcome got = RunConfig(compiled, elided, fn, args);
   EXPECT_EQ(want.trapped, expect_trap) << label;

@@ -19,6 +19,7 @@
 #include "src/minnow/bytecode.h"
 #include "src/minnow/compiler.h"
 #include "src/minnow/elide.h"
+#include "src/minnow/optimizer.h"
 #include "src/minnow/sema.h"
 #include "src/minnow/verifier.h"
 #include "src/minnow/vm.h"
@@ -402,6 +403,142 @@ TEST(ElideGolden, LogicalDiskGraftStaysFullyChecked) {
   const auto stats = ElideChecks(program);
   EXPECT_EQ(stats.checks_elided, 0u);
   EXPECT_EQ(stats.checks_retained, 16u);
+  EXPECT_EQ(minnow::DumpElision(program),
+            "fn ld_init\n"
+            "  12: div.i retained\n"
+            "  26: store.elem retained\n"
+            "  32: store.elem retained\n"
+            "fn ld_write\n"
+            "  10: load.elem retained\n"
+            "  21: store.elem retained\n"
+            "  25: div.i retained\n"
+            "  29: div.i retained\n"
+            "  30: load.elem retained\n"
+            "  33: store.elem retained\n"
+            "  43: store.elem retained\n"
+            "  47: store.elem retained\n"
+            "  51: div.i retained\n"
+            "  55: div.i retained\n"
+            "  56: load.elem retained\n"
+            "  59: store.elem retained\n"
+            "fn ld_translate\n"
+            "  2: load.elem retained\n"
+            "total elided=0 retained=16\n");
+}
+
+// The grafts as they run: fused first, then elided. Superinstructions
+// shift the pcs but must not change a single decision.
+Program FusedThenElided(Program program) {
+  minnow::FuseSuperinstructions(program);
+  const auto report = minnow::VerifyProgram(program);
+  EXPECT_TRUE(report.ok) << report.message;
+  ElideChecks(program);
+  return program;
+}
+
+TEST(ElideGolden, FusedEvictionGraftDecisions) {
+  const Program program = FusedThenElided(CompileEviction());
+  EXPECT_EQ(minnow::DumpElision(program),
+            "fn hot_add\n"
+            "  3: deref.store.nc elided\n"
+            "  6: deref.store.nc elided\n"
+            "fn hot_remove\n"
+            "  8: deref.nc elided\n"
+            "  15: deref.nc elided\n"
+            "  19: deref.nc elided\n"
+            "  20: deref.store.nc elided\n"
+            "  24: deref.nc elided\n"
+            "fn is_hot\n"
+            "  6: deref.nc elided\n"
+            "  12: deref.nc elided\n"
+            "total elided=9 retained=0\n");
+}
+
+TEST(ElideGolden, FusedMd5GraftDecisions) {
+  const Program program = FusedThenElided(Compile(grafts::MinnowMd5Source()));
+  EXPECT_EQ(program.elision.checks_elided, 34u);
+  EXPECT_EQ(program.elision.checks_retained, 13u);
+  EXPECT_EQ(minnow::DumpElision(program),
+            "fn set_const\n"
+            "  3: store.elem retained\n"
+            "  6: store.elem retained\n"
+            "fn md5_init\n"
+            "  4: store.arr.nc elided\n"
+            "  9: store.arr.nc elided\n"
+            "  14: store.arr.nc elided\n"
+            "  19: store.arr.nc elided\n"
+            "fn word_index\n"
+            "  11: mod.nz elided\n"
+            "  20: mod.nz elided\n"
+            "  26: mod.nz elided\n"
+            "fn rounds\n"
+            "  2: load.arr.nc elided\n"
+            "  6: load.arr.nc elided\n"
+            "  10: load.arr.nc elided\n"
+            "  14: load.arr.nc elided\n"
+            "  64: load.elem retained\n"
+            "  67: load.arr.nc elided\n"
+            "  72: load.arr.nc elided\n"
+            "  84: load.arr.nc elided\n"
+            "  87: store.arr.nc elided\n"
+            "  92: load.arr.nc elided\n"
+            "  95: store.arr.nc elided\n"
+            "  100: load.arr.nc elided\n"
+            "  103: store.arr.nc elided\n"
+            "  108: load.arr.nc elided\n"
+            "  111: store.arr.nc elided\n"
+            "fn decode_buffer\n"
+            "  7: load.arr.nc elided\n"
+            "  13: load.arr.nc elided\n"
+            "  22: load.arr.nc elided\n"
+            "  31: load.arr.nc elided\n"
+            "  36: store.arr.nc elided\n"
+            "fn md5_update\n"
+            "  18: load.elem retained\n"
+            "  19: store.elem retained\n"
+            "  45: load.elem retained\n"
+            "  52: load.elem retained\n"
+            "  62: load.elem retained\n"
+            "  72: load.elem retained\n"
+            "  77: store.arr.nc elided\n"
+            "  92: load.elem retained\n"
+            "  93: store.elem retained\n"
+            "fn md5_final\n"
+            "  7: store.elem retained\n"
+            "  18: store.arr.nc elided\n"
+            "  32: store.elem retained\n"
+            "  49: store.arr.nc elided\n"
+            "  60: load.arr.nc elided\n"
+            "  67: store.arr.nc elided\n"
+            "  76: store.arr.nc elided\n"
+            "  85: store.arr.nc elided\n"
+            "  94: store.arr.nc elided\n"
+            "total elided=34 retained=13\n");
+}
+
+TEST(ElideGolden, FusedLogicalDiskGraftDecisions) {
+  const Program program = FusedThenElided(Compile(grafts::MinnowLogicalDiskSource()));
+  EXPECT_EQ(minnow::DumpElision(program),
+            "fn ld_init\n"
+            "  11: div.i retained\n"
+            "  21: store.elem retained\n"
+            "  26: store.elem retained\n"
+            "fn ld_write\n"
+            "  8: load.elem retained\n"
+            "  15: store.elem retained\n"
+            "  18: div.i retained\n"
+            "  21: div.i retained\n"
+            "  22: load.elem retained\n"
+            "  25: store.elem retained\n"
+            "  32: store.elem retained\n"
+            "  35: store.elem retained\n"
+            "  38: div.i retained\n"
+            "  41: div.i retained\n"
+            "  42: load.elem retained\n"
+            "  44: store.elem retained\n"
+            "fn ld_translate\n"
+            "  1: load.elem retained\n"
+            "total elided=0 retained=16\n");
 }
 
 }  // namespace

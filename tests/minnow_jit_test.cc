@@ -606,34 +606,6 @@ TEST(JitArena, FnSizeLimitBailsOut) {
   EXPECT_EQ(vm.Call("f", {Value::Int(9)}).AsInt(), 82);
 }
 
-TEST(JitOrder, PairProfileRanksHotFunctionsFirst) {
-  const Program program = minnow::Compile(R"(
-    fn cold(x: int) -> int { return x + 1; }
-    fn hot(n: int) -> int {
-      var total: int = 0;
-      for (var i: int = 0; i < n; i = i + 1) { total = total + i; }
-      return total;
-    }
-  )");
-  // With no profile the order is static (back-edges first), deterministic.
-  const std::vector<int> base = Jit::CompilationOrder(program, {});
-  ASSERT_FALSE(base.empty());
-  const std::vector<int> again = Jit::CompilationOrder(program, {});
-  EXPECT_EQ(base, again);
-  // A profile naming a pair only `cold` contains must promote it.
-  const int cold = program.FindFunction("cold");
-  ASSERT_GE(cold, 0);
-  std::vector<std::pair<std::string, std::uint64_t>> profile;
-  const auto& code = program.functions[static_cast<std::size_t>(cold)].code;
-  for (std::size_t pc = 0; pc + 1 < code.size(); ++pc) {
-    profile.emplace_back(std::string(minnow::OpName(code[pc].op)) + ">" +
-                             minnow::OpName(code[pc + 1].op),
-                         1'000'000);
-  }
-  const std::vector<int> ranked = Jit::CompilationOrder(program, profile);
-  EXPECT_EQ(ranked.front(), cold);
-}
-
 TEST(JitProfile, ProfilingVmStaysOnInterpreter) {
   VmOptions options = JitOpts();
   options.profile_opcodes = true;

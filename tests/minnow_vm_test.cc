@@ -8,6 +8,7 @@
 
 #include "src/minnow/compiler.h"
 #include "src/minnow/diag.h"
+#include "src/minnow/jit.h"
 #include "src/minnow/verifier.h"
 #include "src/minnow/vm.h"
 
@@ -421,6 +422,360 @@ TEST(Verifier, RejectsBadFieldAndStructIndices) {
     }
   }
   EXPECT_FALSE(minnow::VerifyProgram(broken2).ok);
+}
+
+// Hostile operands on every superinstruction. Each case runs the fused op at
+// pc 2 of `f(a, b)` (two locals, one global, one host import) with a and b
+// on the stack, so the valid operand verifies and only the planted field
+// can fail.
+enum class Packing {
+  kSlot,        // operand is a local slot
+  kImm,         // operand is a constant: nothing to range-check
+  kConstSlot,   // const<<32 | slot
+  kTarget,      // operand is a branch target
+  kImmTarget,   // imm<<32 | target
+  kSlotPair,    // slot<<32 | slot
+  kGlobalSlot,  // global<<32 | slot
+};
+
+struct HostileCase {
+  minnow::Op op;
+  Packing packing;
+};
+
+constexpr HostileCase kHostileCases[] = {
+    {minnow::Op::kLoadAddI, Packing::kSlot},
+    {minnow::Op::kAddConstI, Packing::kImm},
+    {minnow::Op::kConstStore, Packing::kConstSlot},
+    {minnow::Op::kBrEqI, Packing::kTarget},
+    {minnow::Op::kBrNeI, Packing::kTarget},
+    {minnow::Op::kBrLtI, Packing::kTarget},
+    {minnow::Op::kBrLeI, Packing::kTarget},
+    {minnow::Op::kBrGtI, Packing::kTarget},
+    {minnow::Op::kBrGeI, Packing::kTarget},
+    {minnow::Op::kBrEqRef, Packing::kTarget},
+    {minnow::Op::kBrNeRef, Packing::kTarget},
+    {minnow::Op::kBrEqImmI, Packing::kImmTarget},
+    {minnow::Op::kBrNeImmI, Packing::kImmTarget},
+    {minnow::Op::kBrLtImmI, Packing::kImmTarget},
+    {minnow::Op::kBrLeImmI, Packing::kImmTarget},
+    {minnow::Op::kBrGtImmI, Packing::kImmTarget},
+    {minnow::Op::kBrGeImmI, Packing::kImmTarget},
+    {minnow::Op::kLoadLocal2, Packing::kSlotPair},
+    {minnow::Op::kLoadConstI, Packing::kConstSlot},
+    {minnow::Op::kMoveLocal, Packing::kSlotPair},
+    {minnow::Op::kStoreLoad, Packing::kSlotPair},
+    {minnow::Op::kLoadGlobalLocal, Packing::kGlobalSlot},
+};
+
+Program HostileProbe(minnow::Insn insn) {
+  Program program;
+  program.globals.push_back({"g", false});
+  program.host_imports.push_back({"h", 0, false});
+  minnow::FunctionCode fn;
+  fn.name = "f";
+  fn.num_params = 2;
+  fn.num_locals = 2;
+  fn.code = {
+      {minnow::Op::kLoadLocal, 0},
+      {minnow::Op::kLoadLocal, 1},
+      insn,
+      {minnow::Op::kRetVoid, 0},
+  };
+  program.functions.push_back(std::move(fn));
+  return program;
+}
+
+void ExpectRejectedAtFusedOp(minnow::Insn insn, const std::string& message,
+                             const std::string& label) {
+  Program program = HostileProbe(insn);
+  const auto report = minnow::VerifyProgram(program);
+  ASSERT_FALSE(report.ok) << label;
+  EXPECT_EQ(report.function, 0) << label;
+  EXPECT_EQ(report.pc, 2u) << label;
+  if (!message.empty()) {
+    EXPECT_NE(report.message.find(message), std::string::npos) << label << ": " << report.message;
+  }
+}
+
+TEST(Verifier, RejectsHostileSuperinstructions) {
+  using minnow::PackConstStore;
+  using minnow::PackImmBranch;
+  using minnow::PackSlotPair;
+  constexpr std::uint32_t kTail = 3;      // the kRetVoid: a valid target
+  constexpr std::uint32_t kBadSlot = 2;   // == num_locals
+  constexpr std::uint32_t kBadTarget = 4; // == code size
+  int covered = 0;
+  for (const HostileCase& c : kHostileCases) {
+    ASSERT_TRUE(minnow::IsSuperinstruction(c.op));
+    ++covered;
+    const std::string name = minnow::OpName(c.op);
+    minnow::Insn good{c.op, 0};
+    std::vector<std::pair<minnow::Insn, std::string>> bad;
+    switch (c.packing) {
+      case Packing::kSlot:
+        good.operand = 1;
+        bad.push_back({{c.op, kBadSlot}, "local slot out of range"});
+        bad.push_back({{c.op, -1}, "local slot out of range"});
+        break;
+      case Packing::kImm:
+        good.operand = -7;
+        break;
+      case Packing::kConstSlot:
+        good.operand = PackConstStore(-5, 1);
+        bad.push_back({{c.op, PackConstStore(-5, kBadSlot)}, "local slot out of range"});
+        bad.push_back({{c.op, PackConstStore(3, 0xFFFFFFFFu)}, "local slot out of range"});
+        break;
+      case Packing::kTarget:
+        good.operand = kTail;
+        bad.push_back({{c.op, kBadTarget}, "branch target out of range"});
+        bad.push_back({{c.op, -1}, "branch target out of range"});
+        bad.push_back({{c.op, std::int64_t{1} << 40}, "branch target out of range"});
+        break;
+      case Packing::kImmTarget:
+        good.operand = PackImmBranch(-3, kTail);
+        bad.push_back({{c.op, PackImmBranch(-3, kBadTarget)}, "branch target out of range"});
+        bad.push_back({{c.op, PackImmBranch(9, 0xFFFFFFFFu)}, "branch target out of range"});
+        break;
+      case Packing::kSlotPair:
+        good.operand = PackSlotPair(1, 0);
+        bad.push_back({{c.op, PackSlotPair(kBadSlot, 0)}, "local slot out of range"});
+        bad.push_back({{c.op, PackSlotPair(0, kBadSlot)}, "local slot out of range"});
+        bad.push_back({{c.op, PackSlotPair(0xFFFFFFFFu, 1)}, "local slot out of range"});
+        break;
+      case Packing::kGlobalSlot:
+        good.operand = PackSlotPair(0, 1);
+        bad.push_back({{c.op, PackSlotPair(1, 1)}, "global index out of range"});
+        // The local half's message is pinned by
+        // Verifier.LoadGlobalLocalNamesTheBadIndex.
+        bad.push_back({{c.op, PackSlotPair(0, kBadSlot)}, ""});
+        break;
+    }
+    Program ok_program = HostileProbe(good);
+    const auto ok_report = minnow::VerifyProgram(ok_program);
+    EXPECT_TRUE(ok_report.ok) << name << ": " << ok_report.message;
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+      ExpectRejectedAtFusedOp(bad[i].first, bad[i].second, name + " case " + std::to_string(i));
+    }
+  }
+  int superinstructions = 0;
+  for (std::size_t op = 0; op < minnow::kNumOps; ++op) {
+    superinstructions += minnow::IsSuperinstruction(static_cast<minnow::Op>(op)) ? 1 : 0;
+  }
+  EXPECT_EQ(covered, superinstructions);
+
+  // Opcode bytes past the table and an unbound host import index.
+  for (const int byte : {static_cast<int>(minnow::kNumOps), 255}) {
+    Program program = HostileProbe({static_cast<minnow::Op>(byte), 0});
+    EXPECT_FALSE(minnow::VerifyProgram(program).ok) << "opcode byte " << byte;
+  }
+  ExpectRejectedAtFusedOp({minnow::Op::kCallHost, 1}, "host import index out of range",
+                          "call.host 1");
+  ExpectRejectedAtFusedOp({minnow::Op::kCallHost, -1}, "host import index out of range",
+                          "call.host -1");
+}
+
+// load.global.local names the half that is out of range.
+TEST(Verifier, LoadGlobalLocalNamesTheBadIndex) {
+  ExpectRejectedAtFusedOp({minnow::Op::kLoadGlobalLocal, minnow::PackSlotPair(1, 0)},
+                          "global index out of range", "bad global");
+  ExpectRejectedAtFusedOp({minnow::Op::kLoadGlobalLocal, minnow::PackSlotPair(0, 2)},
+                          "local slot out of range", "bad local");
+}
+
+// --- Superinstructions run exactly as their base sequences ---
+//
+// Each case is one superinstruction and the base ops it stands for. Both
+// forms run inside the same harness on every dispatch form; the result (a
+// hash over every local, the global and the operand stack left behind) and
+// any trap must agree, and the fused run retires exactly n - 1 fewer
+// instructions. Branch targets are patched in by the harness, and each
+// case's sequence must be what bytecode.h's Expand returns.
+
+struct ExpansionCase {
+  minnow::Insn fused;
+  std::vector<minnow::Insn> base;
+  int delta;  // operand depth after minus before
+};
+
+std::vector<ExpansionCase> ExpansionCases() {
+  using minnow::Op;
+  using minnow::PackConstStore;
+  using minnow::PackImmBranch;
+  using minnow::PackSlotPair;
+  std::vector<ExpansionCase> cases = {
+      {{Op::kLoadAddI, 2}, {{Op::kLoadLocal, 2}, {Op::kAddI, 0}}, 0},
+      {{Op::kAddConstI, 11}, {{Op::kConstInt, 11}, {Op::kAddI, 0}}, 0},
+      {{Op::kConstStore, PackConstStore(-5, 3)}, {{Op::kConstInt, -5}, {Op::kStoreLocal, 3}}, 0},
+      {{Op::kLoadLocal2, PackSlotPair(3, 2)}, {{Op::kLoadLocal, 3}, {Op::kLoadLocal, 2}}, 2},
+      {{Op::kLoadConstI, PackConstStore(9, 2)}, {{Op::kLoadLocal, 2}, {Op::kConstInt, 9}}, 2},
+      {{Op::kMoveLocal, PackSlotPair(2, 3)}, {{Op::kLoadLocal, 2}, {Op::kStoreLocal, 3}}, 0},
+      {{Op::kStoreLoad, PackSlotPair(3, 3)}, {{Op::kStoreLocal, 3}, {Op::kLoadLocal, 3}}, 0},
+      {{Op::kStoreLoad, PackSlotPair(2, 0)}, {{Op::kStoreLocal, 2}, {Op::kLoadLocal, 0}}, 0},
+      {{Op::kLoadGlobalLocal, PackSlotPair(0, 2)}, {{Op::kLoadGlobal, 0}, {Op::kLoadLocal, 2}}, 2},
+  };
+  const std::pair<Op, Op> compare_branches[] = {
+      {Op::kBrEqI, Op::kEqI}, {Op::kBrNeI, Op::kNeI},   {Op::kBrLtI, Op::kLtI},
+      {Op::kBrLeI, Op::kLeI}, {Op::kBrGtI, Op::kGtI},   {Op::kBrGeI, Op::kGeI},
+      {Op::kBrEqRef, Op::kEqRef}, {Op::kBrNeRef, Op::kNeRef},
+  };
+  for (const auto& [br, cmp] : compare_branches) {
+    cases.push_back({{br, 0}, {{cmp, 0}, {Op::kJmpIfTrue, 0}}, -2});
+  }
+  const std::pair<Op, Op> imm_branches[] = {
+      {Op::kBrEqImmI, Op::kEqI}, {Op::kBrNeImmI, Op::kNeI}, {Op::kBrLtImmI, Op::kLtI},
+      {Op::kBrLeImmI, Op::kLeI}, {Op::kBrGtImmI, Op::kGtI}, {Op::kBrGeImmI, Op::kGeI},
+  };
+  for (const auto& [br, cmp] : imm_branches) {
+    cases.push_back(
+        {{br, PackImmBranch(3, 0)}, {{Op::kConstInt, 3}, {cmp, 0}, {Op::kJmpIfTrue, 0}}, -1});
+  }
+  return cases;
+}
+
+bool IsImmBranchOp(minnow::Op op) {
+  return op >= minnow::Op::kBrEqImmI && op <= minnow::Op::kBrGeImmI;
+}
+
+constexpr std::size_t kHarnessPrelude = 14;  // `body` starts at this pc
+
+// f(a, b): g = a + 7, l2 = 3a, l3 = b - 5, push a, b; then `body` (which
+// leaves `delta` more operands); a branching body falls into `const 100`
+// and takes `const 200`; then every operand goes to locals 4.. and the
+// result hashes locals 0..7 and the global.
+Program ExpansionHarness(const std::vector<minnow::Insn>& body, int delta) {
+  using minnow::Op;
+  std::vector<minnow::Insn> code = {
+      {Op::kLoadLocal, 0},  {Op::kConstInt, 7},   {Op::kAddI, 0},    {Op::kStoreGlobal, 0},
+      {Op::kLoadLocal, 0},  {Op::kConstInt, 3},   {Op::kMulI, 0},    {Op::kStoreLocal, 2},
+      {Op::kLoadLocal, 1},  {Op::kConstInt, 5},   {Op::kSubI, 0},    {Op::kStoreLocal, 3},
+      {Op::kLoadLocal, 0},  {Op::kLoadLocal, 1},
+  };
+  EXPECT_EQ(code.size(), kHarnessPrelude);
+  int depth = 2 + delta;
+  const Op last = body.back().op;
+  const bool branches = last == Op::kJmpIfTrue || (last >= Op::kBrEqI && last <= Op::kBrGeImmI);
+  const auto taken = static_cast<std::uint32_t>(code.size() + body.size() + 2);
+  for (minnow::Insn insn : body) {
+    if (insn.op == Op::kJmpIfTrue || (insn.op >= Op::kBrEqI && insn.op <= Op::kBrNeRef)) {
+      insn.operand = taken;
+    } else if (IsImmBranchOp(insn.op)) {
+      insn.operand = minnow::PackImmBranch(minnow::ImmBranchValue(insn.operand), taken);
+    }
+    code.push_back(insn);
+  }
+  if (branches) {
+    code.push_back({Op::kConstInt, 100});
+    code.push_back({Op::kJmp, static_cast<std::int64_t>(taken + 1)});
+    code.push_back({Op::kConstInt, 200});
+    ++depth;
+  }
+  for (int i = 0; i < depth; ++i) {
+    code.push_back({Op::kStoreLocal, 4 + i});
+  }
+  code.push_back({Op::kLoadGlobal, 0});
+  for (int s = 0; s < 8; ++s) {
+    code.push_back({Op::kConstInt, 1000003});
+    code.push_back({Op::kMulI, 0});
+    code.push_back({Op::kLoadLocal, s});
+    code.push_back({Op::kAddI, 0});
+  }
+  code.push_back({Op::kRet, 0});
+
+  Program program;
+  program.globals.push_back({"g", false});
+  minnow::FunctionCode fn;
+  fn.name = "f";
+  fn.num_params = 2;
+  fn.num_locals = 8;
+  fn.returns_value = true;
+  fn.code = std::move(code);
+  program.functions.push_back(std::move(fn));
+  return program;
+}
+
+struct ExpansionRun {
+  bool trapped = false;
+  std::string trap;
+  std::int64_t value = 0;
+  std::uint64_t retired = 0;
+  bool operator==(const ExpansionRun&) const = default;
+};
+
+ExpansionRun RunExpansion(const Program& program, minnow::DispatchMode dispatch,
+                          std::int64_t a, std::int64_t b) {
+  minnow::VmOptions options;
+  options.dispatch = dispatch;
+  VM vm(program, options);
+  if (dispatch == minnow::DispatchMode::kJit && VM::JitDispatchAvailable()) {
+    EXPECT_NE(vm.jit_stats(), nullptr);
+    if (vm.jit_stats() != nullptr) {
+      EXPECT_EQ(vm.jit_stats()->compiled_fns, 1u);
+    }
+  }
+  vm.RunInit();
+  ExpansionRun run;
+  try {
+    run.value = vm.Call("f", {Value::Int(a), Value::Int(b)}).AsInt();
+  } catch (const Trap& trap) {
+    run.trapped = true;
+    run.trap = trap.what();
+  }
+  run.retired = vm.instructions_retired();
+  return run;
+}
+
+TEST(Superinstructions, RunExactlyAsTheirBaseSequences) {
+  const std::pair<std::int64_t, std::int64_t> args[] = {
+      {1, 2}, {2, 1}, {5, 5}, {-7, 3}, {3, 3}, {0, -9},
+  };
+  int covered = 0;
+  std::vector<bool> seen(minnow::kNumOps, false);
+  for (const ExpansionCase& c : ExpansionCases()) {
+    const std::string name = minnow::OpName(c.fused.op);
+    if (!seen[static_cast<std::size_t>(c.fused.op)]) ++covered;
+    seen[static_cast<std::size_t>(c.fused.op)] = true;
+    Program fused = ExpansionHarness({c.fused}, c.delta);
+    Program raw = ExpansionHarness(c.base, c.delta);
+    const auto fused_report = minnow::VerifyProgram(fused);
+    const auto raw_report = minnow::VerifyProgram(raw);
+    ASSERT_TRUE(fused_report.ok) << name << ": " << fused_report.message;
+    ASSERT_TRUE(raw_report.ok) << name << ": " << raw_report.message;
+    // bytecode.h's definition: the expansion is exactly the base sequence
+    // (the raw program's pcs after the body sit n - 1 further on), and the
+    // shape is its composition.
+    const minnow::Insn& at = fused.functions[0].code[kHarnessPrelude];
+    minnow::Insn ops[minnow::kMaxExpansion];
+    const int n = minnow::Expand(at, ops);
+    ASSERT_EQ(static_cast<std::size_t>(n), c.base.size()) << name;
+    for (int i = 0; i < n; ++i) {
+      const minnow::Insn& want =
+          raw.functions[0].code[kHarnessPrelude + static_cast<std::size_t>(i)];
+      EXPECT_EQ(ops[i].op, want.op) << name << " op " << i;
+      const std::int64_t shift = want.op == minnow::Op::kJmpIfTrue ? n - 1 : 0;
+      EXPECT_EQ(ops[i].operand + shift, want.operand) << name << " op " << i;
+    }
+    const minnow::Shape shape = minnow::ShapeOf(fused, at);
+    EXPECT_EQ(shape.pushes - shape.pops, c.delta) << name;
+    EXPECT_EQ(shape.branch, ops[n - 1].op == minnow::Op::kJmpIfTrue) << name;
+    for (const auto& [a, b] : args) {
+      const ExpansionRun want = RunExpansion(raw, minnow::DispatchMode::kSwitch, a, b);
+      for (const auto dispatch : {minnow::DispatchMode::kSwitch, minnow::DispatchMode::kThreaded,
+                                  minnow::DispatchMode::kJit}) {
+        const ExpansionRun got_raw = RunExpansion(raw, dispatch, a, b);
+        ExpansionRun got_fused = RunExpansion(fused, dispatch, a, b);
+        EXPECT_EQ(got_raw, want) << name << " raw, dispatch " << static_cast<int>(dispatch);
+        got_fused.retired += c.base.size() - 1;
+        EXPECT_EQ(got_fused, want) << name << " fused, dispatch " << static_cast<int>(dispatch)
+                                   << " a=" << a << " b=" << b;
+      }
+    }
+  }
+  int superinstructions = 0;
+  for (std::size_t op = 0; op < minnow::kNumOps; ++op) {
+    superinstructions += minnow::IsSuperinstruction(static_cast<minnow::Op>(op)) ? 1 : 0;
+  }
+  EXPECT_EQ(covered, superinstructions);
 }
 
 TEST(Disassembler, ProducesReadableOutput) {
