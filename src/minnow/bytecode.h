@@ -90,6 +90,7 @@
 #define GRAFTLAB_SRC_MINNOW_BYTECODE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -300,6 +301,8 @@ struct ElisionCertificate {
   std::uint64_t array_lens_elided = 0;
 };
 
+struct ElideFacts;  // elide.h
+
 // A compiled, shippable Minnow module.
 struct Program {
   std::vector<StructLayout> structs;
@@ -307,6 +310,11 @@ struct Program {
   std::vector<FunctionCode> functions;
   std::vector<HostImport> host_imports;
   ElisionCertificate elision;
+  // What ElideChecks proved at selected pcs (elide.h), for the JIT, which
+  // uses a fact only behind a guard that deopts when it is false. Shared
+  // and immutable, so copying a Program copies no facts; null when the
+  // program never went through ElideChecks.
+  std::shared_ptr<const ElideFacts> facts;
 
   // Index of a function by name, -1 if absent.
   int FindFunction(const std::string& name) const {

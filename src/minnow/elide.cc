@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -456,7 +457,10 @@ class Analyzer {
         kill_globals_at_calls_(kill_globals_at_calls),
         store_accum_(store_accum) {}
 
-  FnAnalysis Run(const FunctionCode& fn, const std::vector<AbsVal>& entry_globals) {
+  // `params` (a spliced callee's argument facts) replaces the TOP entry
+  // facts of the parameters when given.
+  FnAnalysis Run(const FunctionCode& fn, const std::vector<AbsVal>& entry_globals,
+                 const std::vector<AbsVal>* params = nullptr) {
     FnAnalysis out;
     const std::size_t n = fn.code.size();
     out.in.resize(n);
@@ -465,6 +469,9 @@ class Analyzer {
 
     State entry;
     entry.locals.assign(static_cast<std::size_t>(fn.num_locals), AbsVal::Top());
+    if (params != nullptr && params->size() == static_cast<std::size_t>(fn.num_params)) {
+      std::copy(params->begin(), params->end(), entry.locals.begin());
+    }
     // Params come from the host or any call site: TOP. Non-param locals are
     // nulled by PushFrame: exactly zero.
     for (int i = fn.num_params; i < fn.num_locals; ++i) {
@@ -675,9 +682,11 @@ class Analyzer {
         bin_i(RangeMul);
         return true;
       case Op::kDivI:
+      case Op::kDivNZ:  // unchecked forms (a certified callee the JIT splices)
         bin_i(RangeDiv);
         return true;
       case Op::kModI:
+      case Op::kModNZ:
         bin_i(RangeMod);
         return true;
       case Op::kNegI: {
@@ -851,19 +860,22 @@ class Analyzer {
         push_val(arr);
         return true;
       }
-      case Op::kLoadField: {
+      case Op::kLoadField:
+      case Op::kLoadFieldNC: {
         const Slot obj = pop();
         RefineReceiver(state, obj.origin, /*array=*/false, 0);
         push_val(AbsVal::Top());
         return true;
       }
-      case Op::kStoreField: {
+      case Op::kStoreField:
+      case Op::kStoreFieldNC: {
         pop();  // value
         const Slot obj = pop();
         RefineReceiver(state, obj.origin, /*array=*/false, 0);
         return true;
       }
-      case Op::kLoadElem: {
+      case Op::kLoadElem:
+      case Op::kLoadElemNC: {
         const Slot idx = pop();
         const Slot arr = pop();
         RefineReceiver(state, arr.origin, /*array=*/true,
@@ -871,7 +883,8 @@ class Analyzer {
         push_val(ElemLoadRange(arr.v));
         return true;
       }
-      case Op::kStoreElem: {
+      case Op::kStoreElem:
+      case Op::kStoreElemNC: {
         pop();  // value
         const Slot idx = pop();
         const Slot arr = pop();
@@ -879,15 +892,16 @@ class Analyzer {
                        idx.v.lo >= 0 ? std::min(idx.v.lo, kMaxArrayLen - 1) + 1 : 0);
         return true;
       }
-      case Op::kArrayLen: {
+      case Op::kArrayLen:
+      case Op::kArrayLenNC: {
         const Slot arr = pop();
         RefineReceiver(state, arr.origin, /*array=*/true, 0);
         push_val(AbsVal::Range(std::max<std::int64_t>(0, arr.v.len_lo), kMaxArrayLen));
         return true;
       }
       default:
-        // Unchecked opcodes (or anything unknown) must never reach the
-        // analyzer; the caller screens them out.
+        // Anything unknown: ElideChecks screens unchecked opcodes out of
+        // what it certifies; AnalyzeCallee sees them as their checked forms.
         out.ok = false;
         return false;
     }
@@ -980,7 +994,93 @@ void HashBytes(std::uint64_t& h, const void* data, std::size_t len) {
 
 void HashU64(std::uint64_t& h, std::uint64_t v) { HashBytes(h, &v, sizeof(v)); }
 
+PcFacts FactsOf(const State& state) {
+  PcFacts out;
+  out.stack.reserve(state.stack.size());
+  for (const Slot& slot : state.stack) {
+    out.stack.push_back(slot.v);
+  }
+  out.locals = state.locals;
+  out.globals = state.globals;
+  return out;
+}
+
+// The pcs the JIT asks about: entry, loop heads, calls and divisions, and
+// the returns of a callee it splices.
+std::vector<char> RecordedPcs(const Program& program, const FunctionCode& fn, bool returns) {
+  std::vector<char> keep(fn.code.size(), 0);
+  if (!keep.empty()) {
+    keep[0] = 1;
+  }
+  for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
+    const Insn& insn = fn.code[pc];
+    if (ShapeOf(program, insn).branch) {
+      const auto to = static_cast<std::size_t>(BranchTarget(insn));
+      if (to <= pc && to < keep.size()) {
+        keep[to] = 1;
+      }
+    }
+    Insn ops[kMaxExpansion];
+    const int n = Expand(insn, ops);
+    for (int i = 0; i < n; ++i) {
+      switch (ops[i].op) {
+        case Op::kCall:
+        case Op::kDivI:
+        case Op::kModI:
+        case Op::kDivNZ:
+        case Op::kModNZ:
+          keep[pc] = 1;
+          break;
+        case Op::kRet:
+          keep[pc] = keep[pc] || returns;
+          break;
+        default:
+          break;
+      }
+    }
+  }
+  return keep;
+}
+
+FnFacts Record(const FnAnalysis& result, const std::vector<char>& keep) {
+  FnFacts out;
+  if (!result.ok) {
+    return out;
+  }
+  for (std::size_t pc = 0; pc < result.in.size(); ++pc) {
+    if (keep[pc] && result.in[pc].has_value()) {
+      out.pcs.push_back(static_cast<std::uint32_t>(pc));
+      out.at.push_back(FactsOf(*result.in[pc]));
+    }
+  }
+  return out;
+}
+
 }  // namespace
+
+const PcFacts* FnFacts::Find(std::size_t pc) const {
+  const auto it = std::lower_bound(pcs.begin(), pcs.end(), pc);
+  if (it == pcs.end() || *it != pc) {
+    return nullptr;
+  }
+  return &at[static_cast<std::size_t>(it - pcs.begin())];
+}
+
+const PcFacts* ElideFacts::Find(int fn, std::size_t pc) const {
+  if (fn < 0 || static_cast<std::size_t>(fn) >= functions.size()) {
+    return nullptr;
+  }
+  return functions[static_cast<std::size_t>(fn)].Find(pc);
+}
+
+FnFacts AnalyzeCallee(const Program& program, const FunctionCode& fn,
+                      const std::vector<AbsVal>& params, const std::vector<AbsVal>& globals) {
+  if (globals.size() != program.globals.size()) {
+    return {};
+  }
+  Analyzer analyzer(program, globals, /*kill_globals_at_calls=*/true, nullptr);
+  return Record(analyzer.Run(fn, globals, &params), RecordedPcs(program, fn, /*returns=*/true));
+}
 
 AbsVal Join(const AbsVal& a, const AbsVal& b) {
   AbsVal out;
@@ -1119,8 +1219,11 @@ ElideStats ElideChecks(Program& program) {
     }
   }
 
-  // Final pass under the converged invariant: decide and rewrite.
+  // Final pass under the converged invariant: decide and rewrite, and keep
+  // the states the JIT asks about (recorded before the rewrite, which
+  // changes no stack shape).
   ElideStats stats;
+  auto facts = std::make_shared<ElideFacts>();
   Analyzer analyzer(program, ginv, /*kill_globals_at_calls=*/true, nullptr);
   Analyzer init_analyzer(program, tops, /*kill_globals_at_calls=*/false, nullptr);
   for (std::size_t f = 0; f < program.functions.size(); ++f) {
@@ -1128,6 +1231,7 @@ ElideStats ElideChecks(Program& program) {
     const bool is_init = static_cast<int>(f) == init_index;
     FnAnalysis result =
         is_init ? init_analyzer.Run(fn, zeros) : analyzer.Run(fn, ginv);
+    facts->functions.push_back(Record(result, RecordedPcs(program, fn, /*returns=*/false)));
     for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
       Insn& insn = fn.code[pc];
       if (!IsCandidate(insn.op)) {
@@ -1174,6 +1278,7 @@ ElideStats ElideChecks(Program& program) {
   program.elision.divs_elided = stats.divs_elided;
   program.elision.array_lens_elided = stats.array_lens_elided;
   program.elision.code_hash = ElisionCodeHash(program);
+  program.facts = std::move(facts);
   return stats;
 }
 

@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/minnow/bytecode.h"
 #include "src/minnow/types.h"
@@ -111,10 +112,47 @@ struct ElideStats {
 
 // Analyzes `program` (which must pass VerifyProgram and contain no unchecked
 // opcodes) and rewrites proven-safe sites to their unchecked variants,
-// stamping Program::elision with the counts and the post-rewrite code hash.
-// Idempotent on an already-certified program. Throws std::invalid_argument
+// stamping Program::elision with the counts and the post-rewrite code hash
+// and attaching the side table of facts (Program::facts). Idempotent on an
+// already-certified program. Throws std::invalid_argument
 // on verification failure or on unchecked opcodes without a certificate.
 ElideStats ElideChecks(Program& program);
+
+// The abstract state at one pc, before its instruction runs: the operand
+// stack (bottom first), the locals and the globals.
+struct PcFacts {
+  std::vector<AbsVal> stack;
+  std::vector<AbsVal> locals;
+  std::vector<AbsVal> globals;
+};
+
+// One function's recorded states, by ascending pc.
+struct FnFacts {
+  std::vector<std::uint32_t> pcs;
+  std::vector<PcFacts> at;
+
+  const PcFacts* Find(std::size_t pc) const;
+};
+
+// The side table ElideChecks hands the JIT (Program::facts): the state at
+// each function's entry, at every loop head (a backward branch's target),
+// at every call, and before every division — the pcs where native code can
+// turn a fact into a hoisted or cheaper guard. The table is advice, not
+// proof: it is not bound by the certificate, and the JIT never removes a
+// check on a fact alone, only behind a guard that deopts when the fact is
+// false. Tests plant wrong facts through it to show exactly that.
+struct ElideFacts {
+  std::vector<FnFacts> functions;  // by function index
+
+  const PcFacts* Find(int fn, std::size_t pc) const;
+};
+
+// Runs the elision transfer over `fn` — a leaf callee the JIT splices into
+// a caller — entered with `params` as its parameter facts and `globals` as
+// the globals, and records the state at the same pcs as ElideChecks and
+// at every return. An empty table when the analysis bails.
+FnFacts AnalyzeCallee(const Program& program, const FunctionCode& fn,
+                      const std::vector<AbsVal>& params, const std::vector<AbsVal>& globals);
 
 // FNV-1a over the opcode stream (plus the layout facts the proof depends
 // on); what the certificate binds the proof to.

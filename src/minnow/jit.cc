@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "src/minnow/elide.h"
 #include "src/minnow/verifier.h"
 #include "src/minnow/vm.h"
 
@@ -56,7 +57,7 @@ enum AluDigit : std::uint8_t {
 };
 enum GrpDigit : std::uint8_t {
   GRP_NOT = 2, GRP_NEG = 3, GRP_DIV = 6, GRP_IDIV = 7,
-  SH_SHL = 4, SH_SHR = 5, SH_SAR = 7,
+  SH_ROL = 0, SH_SHL = 4, SH_SHR = 5, SH_SAR = 7,
 };
 
 class Asm {
@@ -324,11 +325,14 @@ namespace {
 //         operand depth d at s = num_locals + d, a spliced callee's locals
 //         and operands above those — lives at [r13 + 8*s].
 //   rbx = globals base
-//   rbp = current Frame*
 //   r15 = fuel counter; the retired ledger is derived from it (EmitPrologue)
-//   r12, r8-r11 = pinned locals: up to five hot locals of a loop-carrying
-//         function live in registers for the whole function
-//   rax, rcx, rdx, rsi, rdi = scratch pool for the virtual operand stack
+//   r12, r8-r11, rbp = pinned locals: up to six hot locals of a function
+//         live in registers for the whole function
+//   rsi, rdi, rax, rcx, rdx = scratch pool for the virtual operand stack,
+//         in allocation order (rsi/rdi first: a splice freezes its kept
+//         register values there, and division and shifts claim rax/rdx/rcx)
+// The current Frame* lives in the prologue's [rsp+16] slot: only calls,
+// exits and stubs read it, so it does not hold a register.
 // There is no stack-pointer register: the verifier proves one operand depth
 // per pc, so every operand address is static and sp_ is materialized only at
 // side exits and helper calls (sp = frame->base + num_locals + depth).
@@ -337,7 +341,7 @@ namespace {
 constexpr Reg CTX = R14;
 constexpr Reg LOCALS = R13;
 constexpr Reg GLB = RBX;
-constexpr Reg FRM = RBP;
+constexpr std::int32_t kFrameSlot = 16;  // [rsp+16]: the current Frame*
 // The live fuel counter. st->fuel is authoritative only at sync points
 // (prologue/epilogue, call boundaries); in between, block accounting runs
 // against the register so the common path is one sub and one taken-never
@@ -346,8 +350,8 @@ constexpr Reg FRM = RBP;
 // store so the sentinel survives.
 constexpr Reg FUEL = R15;
 constexpr std::uint64_t kFuelUnlimitedBias = 0x7fffffffffffffffull;
-constexpr Reg kPinRegs[] = {R12, R8, R9, R10, R11};
-constexpr Reg kScratch[] = {RAX, RCX, RDX, RSI, RDI};
+constexpr Reg kPinRegs[] = {R12, R8, R9, R10, R11, RBP};
+constexpr Reg kScratch[] = {RSI, RDI, RAX, RCX, RDX};
 constexpr Reg kNoReg = RSP;  // "no register": rsp is never allocated
 
 // Where one operand-stack value lives at compile time. kSlot means the
@@ -355,7 +359,13 @@ constexpr Reg kNoReg = RSP;  // "no register": rsp is never allocated
 // means the slot is stale and the value is elsewhere — the deopt map of an
 // exit lists exactly those entries. `vn` is the value's number (see the
 // value-numbering section of Compiler): two values with the same nonzero
-// number hold the same bits, wherever each one lives.
+// number hold the same bits, wherever each one lives. `ub` and `global` are
+// what the emitted code itself guarantees about those bits: ub > 0 means
+// 0 <= value < ub (a mask computed it, or a guard checked it), and global
+// >= 0 names the global it was loaded from, whose region guards (see
+// PlanGuards) then vouch for it. `lat` estimates when a register value is
+// ready, in cycles from its block's start (see LatOf), so a result headed
+// for a pinned local can copy its earlier-ready operand there first.
 struct Val {
   enum Kind : std::uint8_t { kSlot, kReg, kImm, kLocal, kCond };
   Kind kind = kSlot;
@@ -364,6 +374,9 @@ struct Val {
   int slot = 0;          // kSlot: its own slot; kLocal: the caller local aliased
   std::int64_t imm = 0;  // kImm
   std::uint32_t vn = 0;  // 0: unnumbered
+  std::int64_t ub = 0;   // 0: no bound
+  int global = -1;
+  int lat = 0;           // kReg
 
   static Val Slot(int s) { Val v; v.slot = s; return v; }
   static Val InReg(Reg r) { Val v; v.kind = kReg; v.reg = r; return v; }
@@ -371,7 +384,34 @@ struct Val {
   static Val Local(int s) { Val v; v.kind = kLocal; v.slot = s; return v; }
   static Val Cond(Cc c) { Val v; v.kind = kCond; v.cc = c; return v; }
   Val Numbered(std::uint32_t n) const { Val v = *this; v.vn = n; return v; }
+  // The same bits somewhere else: number and guarantees carry over.
+  Val Like(const Val& o) const {
+    Val v = *this;
+    v.vn = o.vn;
+    v.ub = o.ub;
+    v.global = o.global;
+    v.lat = o.lat;
+    return v;
+  }
 };
+
+// A rough ready time for v: a register value carries its own estimate, a
+// memory operand costs a load, constants and pinned locals are ready.
+constexpr int kLoadLat = 4;
+int LatOf(const Val& v, bool pinned) {
+  switch (v.kind) {
+    case Val::kReg: return v.lat;
+    case Val::kSlot: return kLoadLat;
+    case Val::kLocal: return pinned ? 0 : kLoadLat;
+    default: return 0;
+  }
+}
+
+// The bound ub that holds for v (see Val::ub), constants included.
+std::int64_t UbOf(const Val& v) {
+  if (v.kind == Val::kImm) return v.imm >= 0 && v.imm < INT32_MAX ? v.imm + 1 : 0;
+  return v.ub;
+}
 
 constexpr std::uint64_t kU32Mask = 0xFFFFFFFFull;
 
@@ -400,21 +440,24 @@ int Log2Small(std::int64_t v) {
   return -1;
 }
 
-bool IsBlockEnder(const Shape& e, Op op) {
-  return e.branch || e.terminal || op == Op::kCall || op == Op::kCallHost;
-}
-
 // The control-flow facts the compiler needs about one function's code
 // (the function being compiled, or a callee being spliced into it).
 struct BlockMap {
   std::vector<int> depth;       // operand depth per pc; -1 = unreachable
+  std::vector<Shape> shape;     // ShapeOf per reachable pc
+  std::vector<int> to;          // branch target per pc; -1 = none
   std::vector<char> leader;     // entry, branch targets, the insn after any ender
   std::vector<char> target;     // pc is some branch's target (a join)
   std::vector<int> blk_leader;  // pc -> its block's leader pc
-  std::vector<int> blk_len;     // leader pc -> instruction count
   // Fuel plan (EmitBlockAccounting): check leaders are the entry, loop
-  // heads, and the insn after a call; run[leader] is the longest
-  // instruction count from that block's start to the next check leader.
+  // heads, and the insn after a real call. Lengths count the instructions
+  // an interpreted run retires: a spliced kCall weighs one plus its
+  // callee's longest path, so a loop whose body only splices calls pays
+  // one check per iteration. run[leader] is the longest such count from
+  // that block's start to the next check leader; pre[pc] is what the
+  // block retires before pc.
+  std::vector<int> blk_len;  // leader pc -> retired count of the block
+  std::vector<int> pre;
   std::vector<char> check;
   std::vector<int> run;
 };
@@ -432,6 +475,8 @@ struct Compiler {
   // The VM's stack size (fixed at construction, arena-backed, never
   // resized) — lets the prologue's stack-room check fold to an immediate.
   std::size_t stack_slots;
+  int fn_index;               // fn's index in program.functions
+  const ElideFacts* facts_;   // the elision side table, or null
 
   Asm a{};
   BlockMap m_{};                   // the function being compiled
@@ -443,6 +488,7 @@ struct Compiler {
   struct Fix {
     std::size_t at;
     std::size_t pc;
+    bool back = false;  // a backward branch: lands past pc's region guards
   };
   std::vector<Fix> fixes{};  // rel32 patches to bytecode-pc labels
 
@@ -464,6 +510,19 @@ struct Compiler {
     std::vector<std::pair<int, Val>> map;
   };
   std::vector<Exit> exits{};
+  // A taken conditional edge that gives fuel back (see `branch` in
+  // EmitOp): the stub at the end of the function does it and jumps on, to
+  // the label of `pc` (native == -1) or, inside a splice, to a native
+  // offset resolved when the splice ends (-2 until then).
+  struct SlackStub {
+    std::size_t at;
+    std::int32_t slack;
+    std::size_t pc;
+    bool back;
+    std::int64_t native;
+    std::uint32_t caller_pc;
+  };
+  std::vector<SlackStub> slack_stubs_{};
   std::vector<std::size_t> epi_fixes{};  // rel32 patches to the epilogue
   std::size_t epilogue_off = 0;
 
@@ -513,10 +572,14 @@ struct Compiler {
   // from their deopt maps. keep_[d].kind == kSlot: not kept.
   std::vector<Val> keep_{};
   std::uint32_t frozen_ = 0;
+  bool ret_in_rax_ = false;  // the splice has several value returns (EmitSplice)
   int inl_op_bias_ = 0;
   std::int32_t inl_kk_ = 0;
   std::int32_t inl_ret_pc_ = 0;
+  std::int64_t inl_after_ = 0;  // the caller's charged run past the spliced kCall
   std::uint32_t cur_pc_ = 0;              // caller pc being compiled
+  int op_index_ = 0;                      // the base op of the insn being emitted
+  int skip_ops_ = 0;                      // base ops a fused template already covered
   static constexpr std::size_t kInlineMaxInsns = 48;
 
   // Ops the splicer accepts: templates that touch only locals, globals, and
@@ -554,6 +617,20 @@ struct Compiler {
     return std::all_of(ops, ops + n, [](const Insn& op) { return InlinableOp(op.op); });
   }
 
+  // A real call or host call ends its block (a spliced kCall does not);
+  // so do branches and terminals. The splice plan exists only for the
+  // function being compiled.
+  bool IsBlockEnder(const FunctionCode& f, std::size_t pc, const Shape& e) const {
+    const Op op = f.code[pc].op;
+    return e.branch || e.terminal || op == Op::kCallHost ||
+           (op == Op::kCall && (&f != &fn || splice_at_[pc] < 0));
+  }
+  // What the instruction at pc retires in an interpreted run.
+  int Weight(const FunctionCode& f, std::size_t pc) const {
+    if (&f != &fn || f.code[pc].op != Op::kCall || splice_at_[pc] < 0) return 1;
+    return 1 + splices_[static_cast<std::size_t>(splice_at_[pc])].map.run[0];
+  }
+
   // Leaders (entry, branch targets, the insn after any ender), branch
   // targets, the block map, and the fuel-check plan, from a finished depth
   // analysis. False when reachable code has no leader (cannot happen for
@@ -568,12 +645,13 @@ struct Compiler {
     m.leader[0] = check[0] = 1;
     for (std::size_t pc = 0; pc < n; ++pc) {
       if (dep[pc] < 0) continue;
-      const Shape e = ShapeOf(program, f.code[pc]);
-      const Op op = f.code[pc].op;
-      if (IsBlockEnder(e, op) && pc + 1 < n) m.leader[pc + 1] = 1;
-      if ((op == Op::kCall || op == Op::kCallHost) && pc + 1 < n) check[pc + 1] = 1;
+      const Shape e = m.shape[pc];
+      if (IsBlockEnder(f, pc, e) && pc + 1 < n) {
+        m.leader[pc + 1] = 1;
+        if (!e.branch && !e.terminal) check[pc + 1] = 1;  // after a call
+      }
       if (e.branch) {
-        const auto to = static_cast<std::size_t>(BranchTarget(f.code[pc]));
+        const auto to = static_cast<std::size_t>(m.to[pc]);
         m.leader[to] = m.target[to] = 1;
         if (to <= pc) check[to] = 1;  // a loop head
       }
@@ -582,6 +660,7 @@ struct Compiler {
     // control falls through into one).
     m.blk_leader.assign(n, -1);
     m.blk_len.assign(n, 0);
+    m.pre.assign(n, 0);
     int lp = -1;
     for (std::size_t pc = 0; pc < n; ++pc) {
       if (dep[pc] < 0) {
@@ -591,8 +670,9 @@ struct Compiler {
       if (m.leader[pc]) lp = static_cast<int>(pc);
       if (lp < 0) return false;
       m.blk_leader[pc] = lp;
-      m.blk_len[lp] = static_cast<int>(pc) - lp + 1;
-      if (IsBlockEnder(ShapeOf(program, f.code[pc]), f.code[pc].op)) lp = -1;
+      m.pre[pc] = m.blk_len[static_cast<std::size_t>(lp)];
+      m.blk_len[static_cast<std::size_t>(lp)] += Weight(f, pc);
+      if (IsBlockEnder(f, pc, m.shape[pc])) lp = -1;
     }
     // Every block that is not a check leader is reached from one through
     // forward edges alone, so runs are computed in reverse pc order.
@@ -600,15 +680,16 @@ struct Compiler {
     run.assign(n, 0);
     for (std::size_t pc = n; pc-- > 0;) {
       if (dep[pc] < 0 || !m.leader[pc]) continue;
-      const std::size_t last = pc + static_cast<std::size_t>(m.blk_len[pc]) - 1;
-      const Shape e = ShapeOf(program, f.code[last]);
+      std::size_t last = pc;
+      while (last + 1 < n && m.blk_leader[last + 1] == static_cast<int>(pc)) ++last;
+      const Shape e = m.shape[last];
       const auto next = [&](std::size_t q) {
         return q < n && q > last && dep[q] >= 0 && !check[q] ? run[q] : 0;
       };
       int tail = 0;
       if (!e.terminal) tail = next(last + 1);
       if (e.branch) {
-        tail = std::max(tail, next(static_cast<std::size_t>(BranchTarget(f.code[last]))));
+        tail = std::max(tail, next(static_cast<std::size_t>(m.to[last])));
       }
       run[pc] = m.blk_len[pc] + tail;
     }
@@ -618,10 +699,13 @@ struct Compiler {
   // Operand depth per pc by forward propagation; false on any disagreement
   // with the verifier's stack discipline. `splice` additionally demands the
   // inlining whitelist and kRet/kRetVoid as the only terminals.
-  bool Depths(const FunctionCode& f, std::vector<int>& dep, bool splice) {
+  bool Depths(const FunctionCode& f, BlockMap& m, bool splice) {
     const std::size_t n = f.code.size();
     if (n == 0) return false;
+    std::vector<int>& dep = m.depth;
     dep.assign(n, -1);
+    m.shape.assign(n, Shape{});
+    m.to.assign(n, -1);
     std::vector<std::size_t> work;
     dep[0] = 0;
     work.push_back(0);
@@ -634,6 +718,8 @@ struct Compiler {
         if (opts.jit_compile_filter && !opts.jit_compile_filter(insn.op)) return false;
       }
       const Shape e = ShapeOf(program, insn);
+      m.shape[pc] = e;
+      if (e.branch) m.to[pc] = static_cast<int>(BranchTarget(insn));
       if (splice && e.terminal && !e.branch && insn.op != Op::kRet && insn.op != Op::kRetVoid)
         return false;
       const int d = dep[pc];
@@ -649,35 +735,97 @@ struct Compiler {
         }
         return dep[q] == dq;
       };
-      if (e.branch && !propagate(static_cast<std::size_t>(BranchTarget(insn)), d - e.pops))
+      if (e.branch && !propagate(static_cast<std::size_t>(m.to[pc]), d - e.pops))
         return false;
       if (!e.terminal && !propagate(pc + 1, d2)) return false;
     }
     return true;
   }
 
-  bool Analyze() { return Depths(fn, m_.depth, false) && MapBlocks(fn, m_); }
+  bool Analyze() {
+    if (!Depths(fn, m_, false)) return false;
+    PlanSplices();
+    return MapBlocks(fn, m_);
+  }
 
-  // True when `callee` is a splice candidate: short, every reachable insn
-  // whitelisted (and not denied by the fuzzer's compile filter — those must
-  // keep their forced-deopt seam), terminals only kRet/kRetVoid.
-  bool PlanInline(const FunctionCode& callee, BlockMap& m) {
-    return callee.code.size() <= kInlineMaxInsns && Depths(callee, m.depth, true) &&
-           MapBlocks(callee, m);
+  // A callee the splicer accepts, planned once per function compiled.
+  struct Splice {
+    BlockMap map;            // its blocks; map.run[0] is its longest path
+    std::vector<int> reads;  // static kLoadLocal count per callee local
+  };
+  std::vector<Splice> splices_{};
+  std::vector<int> splice_at_{};  // caller pc -> index into splices_ (-1: a real call)
+
+  // True when `callee` is a splice candidate: short, loop-free, every
+  // reachable insn whitelisted (and not denied by the fuzzer's compile
+  // filter — those must keep their forced-deopt seam), terminals only
+  // kRet/kRetVoid.
+  bool PlanInline(const FunctionCode& callee, Splice& plan) {
+    BlockMap& m = plan.map;
+    if (callee.code.size() > kInlineMaxInsns || !Depths(callee, m, true) ||
+        !MapBlocks(callee, m)) {
+      return false;
+    }
+    plan.reads.assign(static_cast<std::size_t>(callee.num_locals), 0);
+    for (std::size_t pc = 0; pc < callee.code.size(); ++pc) {
+      if (m.depth[pc] < 0) continue;
+      if (m.to[pc] >= 0 && static_cast<std::size_t>(m.to[pc]) <= pc) {
+        return false;  // a loop: its run has no static bound
+      }
+      Insn ops[kMaxExpansion];
+      const int k = Expand(callee.code[pc], ops);
+      for (int i = 0; i < k; ++i) {
+        if (ops[i].op == Op::kLoadLocal) ++plan.reads[static_cast<std::size_t>(ops[i].operand)];
+      }
+    }
+    return true;
+  }
+  // Decides, before any code is emitted, which kCalls splice: the callee
+  // plans (once per callee) and its frame fits below the stack limit at
+  // that depth, so the PushFrame stack-room check folds to an immediate.
+  void PlanSplices() {
+    const std::size_t n = fn.code.size();
+    splice_at_.assign(n, -1);
+    std::vector<int> by_callee(program.functions.size(), -2);  // -2: not planned yet
+    for (std::size_t pc = 0; pc < n; ++pc) {
+      if (m_.depth[pc] < 0 || fn.code[pc].op != Op::kCall) continue;
+      const auto fi = static_cast<std::size_t>(fn.code[pc].operand);
+      if (BaseLimit(pc) < 0 || BaseLimit(pc) > INT32_MAX) continue;
+      if (by_callee[fi] == -2) {
+        Splice plan;
+        by_callee[fi] = -1;
+        if (PlanInline(program.functions[fi], plan)) {
+          by_callee[fi] = static_cast<int>(splices_.size());
+          splices_.push_back(std::move(plan));
+        }
+      }
+      splice_at_[pc] = by_callee[fi];
+    }
+  }
+  // A spliced callee's frame would start at caller base + kk, with kk =
+  // num_locals + depth - num_params, so its stack-room check is base <=
+  // this limit.
+  std::int64_t BaseLimit(std::size_t pc) const {
+    const FunctionCode& callee = program.functions[static_cast<std::size_t>(fn.code[pc].operand)];
+    const std::int64_t kk =
+        static_cast<std::int64_t>(fn.num_locals) + m_.depth[pc] - callee.num_params;
+    return static_cast<std::int64_t>(stack_slots) -
+           (static_cast<std::int64_t>(callee.num_locals) + callee.max_stack) - kk;
   }
 
   // True when the instruction at pc branches backwards (closes a loop).
   bool IsBackEdge(std::size_t pc) const {
-    return ShapeOf(program, fn.code[pc]).branch &&
-           static_cast<std::size_t>(BranchTarget(fn.code[pc])) <= pc;
+    return m_.to[pc] >= 0 && static_cast<std::size_t>(m_.to[pc]) <= pc;
   }
 
   // --- pinned locals ---------------------------------------------------------
   //
-  // Up to five locals live in registers for the whole function. A function
+  // Up to six locals live in registers for the whole function. A function
   // with loops ranks its locals by their static references inside loops (a
   // pc range closed by a back edge); a straight-line function by their
-  // references anywhere. A local needs two references to earn a register.
+  // references anywhere. A local passed straight to a spliced callee also
+  // earns the callee's reads of that parameter, which become reads of the
+  // caller's register. A local needs two references to earn a register.
   void ChoosePins() {
     const std::size_t n = fn.code.size();
     pin_.assign(static_cast<std::size_t>(fn.num_locals), kNoReg);
@@ -685,24 +833,41 @@ struct Compiler {
     bool loops = false;
     for (std::size_t pc = 0; pc < n; ++pc) {
       if (m_.depth[pc] >= 0 && IsBackEdge(pc)) {
-        ++loop_edge[static_cast<std::size_t>(BranchTarget(fn.code[pc]))];
+        ++loop_edge[static_cast<std::size_t>(m_.to[pc])];
         --loop_edge[pc + 1];
         loops = true;
       }
     }
     std::vector<int> uses(pin_.size(), 0);
+    std::vector<int> from;  // per operand depth: the local it was loaded from, or -1
     int open = 0;
     for (std::size_t pc = 0; pc < n; ++pc) {
       open += loop_edge[pc];
-      if ((loops && open <= 0) || m_.depth[pc] < 0) continue;
+      if (m_.depth[pc] < 0) continue;
+      const bool counted = !loops || open > 0;
+      if (m_.leader[pc] && m_.target[pc]) from.clear();
+      from.resize(static_cast<std::size_t>(m_.depth[pc]), -1);
       Insn ops[kMaxExpansion];
       const int k = Expand(fn.code[pc], ops);
       for (int i = 0; i < k; ++i) {
         const std::int64_t s = ops[i].operand;
-        if ((ops[i].op == Op::kLoadLocal || ops[i].op == Op::kStoreLocal) && s >= 0 &&
-            s < fn.num_locals) {
-          ++uses[static_cast<std::size_t>(s)];
+        const Shape e = k == 1 ? m_.shape[pc] : ShapeOf(program, ops[i]);
+        int pushed = -1;
+        if (ops[i].op == Op::kLoadLocal || ops[i].op == Op::kStoreLocal) {
+          if (counted) ++uses[static_cast<std::size_t>(s)];
+          pushed = static_cast<int>(s);
+        } else if (ops[i].op == Op::kDup && !from.empty()) {
+          pushed = from.back();
+        } else if (ops[i].op == Op::kCall && counted && splice_at_[pc] >= 0) {
+          const Splice& plan = splices_[static_cast<std::size_t>(splice_at_[pc])];
+          const std::size_t np = static_cast<std::size_t>(e.pops);
+          for (std::size_t p = 0; p < np && np <= from.size(); ++p) {
+            const int arg = from[from.size() - np + p];
+            if (arg >= 0) uses[static_cast<std::size_t>(arg)] += plan.reads[p];
+          }
         }
+        from.resize(from.size() - std::min(from.size(), static_cast<std::size_t>(e.pops)));
+        for (int q = 0; q < e.pushes; ++q) from.push_back(pushed);
       }
     }
     std::vector<int> order;
@@ -731,8 +896,14 @@ struct Compiler {
   std::int32_t SlotDisp(std::size_t d) const { return 8 * AbsSlot(d); }
 
   // A free scratch register. With none free, the deepest register-held vs_
-  // entry goes back to its slot (a plain store: flags survive).
+  // entry goes back to its slot (a plain store: flags survive). A splice
+  // whose returns meet in rax takes rax first, so the value a return
+  // computes last is often already there.
   Reg Alloc() {
+    if (ret_in_rax_ && ((busy_ | frozen_) & Bit(RAX)) == 0) {
+      busy_ |= Bit(RAX);
+      return RAX;
+    }
     for (const Reg r : kScratch) {
       if (((busy_ | frozen_) & Bit(r)) == 0) {
         busy_ |= Bit(r);
@@ -743,7 +914,7 @@ struct Compiler {
       if (vs_[d].kind == Val::kReg && (frozen_ & Bit(vs_[d].reg)) == 0) {
         const Reg r = vs_[d].reg;
         a.Store64(LOCALS, SlotDisp(d), r);
-        vs_[d] = Val::Slot(AbsSlot(d)).Numbered(vs_[d].vn);
+        vs_[d] = Val::Slot(AbsSlot(d)).Like(vs_[d]);
         return r;  // stays busy: now the caller's
       }
     }
@@ -814,13 +985,36 @@ struct Compiler {
   }
   // A register the template may overwrite, holding in-flight operand i: the
   // operand's own register (DoneOps keeps it when it becomes the result) or
-  // a fresh one.
+  // a fresh one — always fresh for a splice's frozen register, which other
+  // entries share.
   Reg TakeOp(std::size_t i) {
-    if (in_flight_[i].kind == Val::kReg) return in_flight_[i].reg;
+    if (Owned(in_flight_[i])) return in_flight_[i].reg;
     const Reg r = Alloc();
     Load(r, in_flight_[i]);
     return r;
   }
+  // TakeOp for a u32 operand: the register holds its low 32 bits,
+  // zero-extended, in one move or load where the operand is elsewhere.
+  Reg TakeOpU32(std::size_t i) {
+    const Val v = in_flight_[i];
+    if (Owned(v)) {
+      a.MovRR32(v.reg, v.reg);
+      return v.reg;
+    }
+    const Reg r = Alloc();
+    const Reg pin = v.kind == Val::kLocal ? PinOf(v.slot) : kNoReg;
+    if (v.kind == Val::kReg || pin != kNoReg) {
+      a.MovRR32(r, v.kind == Val::kReg ? v.reg : pin);
+    } else if (v.kind == Val::kSlot || v.kind == Val::kLocal) {
+      a.Load32(r, LOCALS, 8 * v.slot);
+    } else {
+      Load(r, v);
+      a.MovRR32(r, r);
+    }
+    return r;
+  }
+  bool Owned(const Val& v) const { return v.kind == Val::kReg && (frozen_ & Bit(v.reg)) == 0; }
+  int Lat(const Val& v) const { return LatOf(v, v.kind == Val::kLocal && PinOf(v.slot) != kNoReg); }
   void Push(const Val& v) { vs_.push_back(v); }
   Val PopVal() {
     const Val v = vs_.back();
@@ -854,7 +1048,7 @@ struct Compiler {
     if (v.kind == Val::kSlot) return;
     StoreVal(LOCALS, SlotDisp(d), v);
     Release(v);
-    vs_[d] = Val::Slot(AbsSlot(d)).Numbered(v.vn);
+    vs_[d] = Val::Slot(AbsSlot(d)).Like(v);
   }
   // Block end: every value to its interpreter slot. Moves only — flags
   // survive for a following jcc.
@@ -894,19 +1088,20 @@ struct Compiler {
   // checks ran the first time) or a repeated subexpression costs nothing.
   // A store to a global bumps its generation; every call, host call and
   // helper call bumps the call count, so no global value survives one.
-  // Facts a check established about a value (non-null, element kind, field
-  // count, an index in bounds, a division safe) are kept by number and
-  // suppress the same check later in the block: object kind and length
-  // never change, and the collector does not move objects. Reused values
-  // are ordinary entries, so every exit's deopt map still writes them back.
+  // Facts a check established about a value (an array's element kind or a
+  // struct's field count, either implying non-null; an index in bounds of
+  // an array of a kind; a division safe) are kept by number and suppress
+  // the same check later in the block: object kind and length never
+  // change, and the collector does not move objects. These cover only what
+  // this block's own code checked; what the elision analysis proved
+  // reaches native code through guards (PlanGuards). Reused values are
+  // ordinary entries, so every exit's deopt map still writes them back.
   // The state is a handful of small flat vectors per block, copied at
   // every forward edge, so lookups are linear scans.
   enum VnKind : std::int64_t { kVnGlobal, kVnOp };
   struct Facts {
-    bool nonnull = false;
-    bool array = false;
-    int elem = -1;            // proven element kind (TypeKind), -1 unknown
-    std::int64_t fields = 0;  // a struct with at least this many fields
+    int elem = -1;            // a non-null array of this element kind (TypeKind)
+    std::int64_t fields = 0;  // a struct (so non-null) with at least this many fields
   };
   // What an operand is for numbering: a number, or a constant by value
   // (constants need no table). kNone: unnumbered.
@@ -920,12 +1115,13 @@ struct Compiler {
     if (v.kind == Val::kImm) return {Ident::kConst, v.imm};
     return {v.vn != 0 ? Ident::kNumber : Ident::kNone, v.vn};
   }
-  // Checks passed over two operands: an index in bounds of an array, a
-  // signed or an unsigned division.
-  enum Proof : std::int64_t { kInBounds, kDivSafe, kDivUSafe };
+  // Checks passed over two operands: a signed or an unsigned division, an
+  // index in bounds of a non-null array of one element kind.
+  enum Proof : std::int64_t { kDivSafe, kDivUSafe, kInBounds };
+  static std::int64_t InBounds(TypeKind elem) { return kInBounds + static_cast<std::int64_t>(elem); }
   struct Proven {
     Ident x, y;
-    Proof proof;
+    std::int64_t proof;
     bool operator==(const Proven&) const = default;
   };
   struct VnState {
@@ -990,7 +1186,7 @@ struct Compiler {
   }
   // True when `proof` already holds for {x, y}; records it either way (the
   // caller emits the check when it did not).
-  bool Proved(Ident x, Ident y, Proof proof) {
+  bool Proved(Ident x, Ident y, std::int64_t proof) {
     if (x.tag == Ident::kNone || y.tag == Ident::kNone) return false;
     const Proven key{x, y, proof};
     if (std::find(vn_.proven.begin(), vn_.proven.end(), key) != vn_.proven.end()) return true;
@@ -1011,11 +1207,8 @@ struct Compiler {
       const auto it = std::find_if(other.facts.begin(), other.facts.end(),
                                    [&](const auto& o) { return o.first == e.first; });
       if (it == other.facts.end()) return true;
-      Facts& f = e.second;
-      f.nonnull = f.nonnull && it->second.nonnull;
-      f.array = f.array && it->second.array;
-      if (f.elem != it->second.elem) f.elem = -1;
-      f.fields = std::min(f.fields, it->second.fields);
+      if (e.second.elem != it->second.elem) e.second.elem = -1;
+      e.second.fields = std::min(e.second.fields, it->second.fields);
       return false;
     });
     std::erase_if(into.proven, [&](const Proven& e) {
@@ -1028,7 +1221,9 @@ struct Compiler {
   std::unordered_map<std::size_t, VnState> join_vn_{};
   std::vector<char> loop_head_{};
   // `last`: the block ends here (a fall-through into the join), so the
-  // state may be moved rather than copied.
+  // state may be moved rather than copied. A copy keeps only what a later
+  // block can look up: no operand-stack entry survives a join, so the
+  // numbers of pure ops (reached only through such entries) stay behind.
   void NoteEdge(std::size_t to, bool last = false) {
     if (inl_fn_ != nullptr || to <= cur_pc_) return;
     const auto it = join_vn_.find(to);
@@ -1038,7 +1233,13 @@ struct Compiler {
       join_vn_.emplace(to, std::move(vn_));
       vn_.locals.assign(static_cast<std::size_t>(fn.num_locals), 0);
     } else {
-      join_vn_.emplace(to, vn_);
+      VnState& copy = join_vn_[to];
+      for (const auto& e : vn_.ids) {
+        if (e.first[0] == kVnGlobal) copy.ids.push_back(e);
+      }
+      copy.locals = vn_.locals;
+      copy.facts = vn_.facts;
+      copy.proven = vn_.proven;
     }
   }
   void JoinValues(std::size_t pc) {
@@ -1059,14 +1260,18 @@ struct Compiler {
 
   // --- locals and globals ----------------------------------------------------
   // A caller local reads as an alias (no code); a spliced callee's local is
-  // an operand slot of the caller, so reading it copies that entry.
+  // an operand slot of the caller, so reading it copies that entry — or
+  // shares it, when the splice keeps it (never written, so a frozen
+  // register there holds it throughout).
   Val ReadLocal(std::int64_t s) {
     if (inl_fn_ == nullptr) {
       std::uint32_t& n = vn_.locals[static_cast<std::size_t>(s)];
       if (n == 0) n = Fresh();
       return Val::Local(static_cast<int>(s)).Numbered(n);
     }
-    return Copy(static_cast<std::size_t>(inl_local_base_ + s));
+    const auto d = static_cast<std::size_t>(inl_local_base_ + s);
+    if (Kept(d) && vs_[d].kind == Val::kReg && vs_[d].reg == keep_[d].reg) return vs_[d];
+    return Copy(d);
   }
   // A second value equal to vs_[d]: constants and aliases are shared,
   // registers and slots copied into a fresh register.
@@ -1074,7 +1279,7 @@ struct Compiler {
     if (vs_[d].kind != Val::kReg && vs_[d].kind != Val::kSlot) return vs_[d];
     const Reg r = Alloc();
     Load(r, vs_[d]);  // after Alloc: it may have spilled this very entry
-    return Val::InReg(r).Numbered(vs_[d].vn);
+    return Val::InReg(r).Like(vs_[d]);
   }
   // Takes ownership of v.
   void WriteLocal(std::int64_t s, Val v) {
@@ -1083,7 +1288,7 @@ struct Compiler {
       if (v.kind == Val::kSlot || v.kind == Val::kCond) {  // a dying slot / the flags
         const Reg r = Alloc();
         Load(r, v);
-        v = Val::InReg(r).Numbered(v.vn);
+        v = Val::InReg(r).Like(v);
       }
       Release(vs_[d]);
       vs_[d] = v;
@@ -1105,10 +1310,16 @@ struct Compiler {
     const std::uint32_t n =
         Number(kVnGlobal, g, global_gen_[static_cast<std::size_t>(g)], calls_);
     const int d = FindVn(n, vs_.size());
-    if (d >= 0) return Copy(static_cast<std::size_t>(d));
-    const Reg r = Alloc();
-    a.Load64(r, GLB, static_cast<std::int32_t>(8 * g));
-    return Val::InReg(r).Numbered(n);
+    Val v;
+    if (d >= 0) {
+      v = Copy(static_cast<std::size_t>(d));
+    } else {
+      v = Val::InReg(Alloc()).Numbered(n);
+      v.lat = kLoadLat;
+      a.Load64(v.reg, GLB, static_cast<std::int32_t>(8 * g));
+    }
+    v.global = static_cast<int>(g);
+    return v;
   }
 
   // --- side exits ----------------------------------------------------------
@@ -1131,12 +1342,49 @@ struct Compiler {
     exits.push_back(std::move(e));
   }
   const BlockMap& Map() const { return inl_fn_ != nullptr ? inl_ : m_; }
+  // Up to `want` base ops that follow op `i` of the instruction at pc in
+  // straight-line order, up to the next block leader (or an instruction
+  // the compile filter denies, which must keep its forced deopt).
+  int Upcoming(std::size_t pc, int i, Insn* out, int want) const {
+    const BlockMap& m = Map();
+    const FunctionCode& f = inl_fn_ != nullptr ? *inl_fn_ : fn;
+    Insn ops[kMaxExpansion];
+    int got = 0;
+    for (std::size_t q = pc; got < want && q < f.code.size(); ++q) {
+      if (q > pc && (m.depth[q] < 0 || m.leader[q] ||
+                     (opts.jit_compile_filter && !opts.jit_compile_filter(f.code[q].op)))) {
+        break;
+      }
+      const int k = Expand(f.code[q], ops);
+      for (int j = q == pc ? i + 1 : 0; j < k && got < want; ++j) out[got++] = ops[j];
+    }
+    return got;
+  }
+  // The caller local the base op after the one being emitted stores to, or
+  // -1: a result headed there may be computed in its pinned register. A
+  // next instruction that leads a block (a join may enter it with the old
+  // value) or deopts on the compile filter is not "after".
+  std::int64_t NextStore(std::size_t pc) const {
+    Insn next;
+    if (inl_fn_ != nullptr || Upcoming(pc, op_index_, &next, 1) != 1 ||
+        next.op != Op::kStoreLocal) {
+      return -1;
+    }
+    return next.operand;
+  }
+  // The number of what local s holds right now (0: none yet).
+  std::uint32_t LocalVn(std::int64_t s) const {
+    return inl_fn_ != nullptr ? vs_[static_cast<std::size_t>(inl_local_base_ + s)].vn
+                              : vn_.locals[static_cast<std::size_t>(s)];
+  }
+  // The fuel an exit at pc gives back: the charged run it does not
+  // execute — from pc on (reexec) or past pc (the helper ran), and inside a
+  // splice also the caller's run past the kCall.
   void AddExit(std::size_t at, std::size_t pc, bool reexec) {
     const BlockMap& m = Map();
     const int lp = m.blk_leader[pc];
-    const std::int64_t e = static_cast<std::int64_t>(pc) - lp;
-    const std::int64_t run = m.run[static_cast<std::size_t>(lp)];
-    const std::int64_t give = reexec ? run - e : run - e - 1;
+    const std::int64_t run = m.run[static_cast<std::size_t>(lp)] - m.pre[pc];
+    const std::int64_t give = (reexec ? run : run - 1) + inl_after_;
     PushExit(at, pc, m.depth[pc], reexec, give);
   }
   // Conditional/unconditional jumps into a deopt-and-reexecute stub: the
@@ -1154,23 +1402,174 @@ struct Compiler {
   // "after the splice" — where kRet lands).
   void JmpPc(std::size_t to) {
     NoteEdge(to);
-    (inl_fn_ != nullptr ? inl_fixes_ : fixes).push_back({a.Jmp(), to});
+    AddFix(a.Jmp(), to);
   }
   void JccPc(Cc cc, std::size_t to) {
     NoteEdge(to);
-    (inl_fn_ != nullptr ? inl_fixes_ : fixes).push_back({a.Jcc(cc), to});
+    AddFix(a.Jcc(cc), to);
+  }
+  void AddFix(std::size_t at, std::size_t to) {
+    if (inl_fn_ != nullptr) {
+      inl_fixes_.push_back({at, to});
+    } else {
+      fixes.push_back({at, to, to <= cur_pc_});
+    }
   }
 
-  // Commits st->sp = frame->base + num_locals + d.
+  // --- region guards ---------------------------------------------------------
+  //
+  // The elision side table (Program::facts) says what holds at each loop
+  // head and at entry, but a fact is advice: native code relies on one only
+  // behind a guard that deopts when it is false. A guard whose input is
+  // invariant over a region — the whole function, or a single-entry loop
+  // [head, last] — runs once where control enters the region, and deopts
+  // to the head's pc; backward branches land past it. The input here is a
+  // global array: invariant when the region has no store to that global
+  // (spliced callees included) and no real call or host call. The guard
+  // checks non-null, the element kind and the length lower bound, so an
+  // element access in the region through a value loaded from that global
+  // (Val::global) needs no null or kind check, and no bounds check when its
+  // index is below the guarded length by construction (Val::ub).
+  struct Guard {
+    int global;
+    TypeKind elem;
+    std::int64_t len;  // 0: no length guard
+    std::size_t head, last;
+  };
+  std::vector<Guard> guards_{};
+  std::vector<std::int64_t> back_off_{};  // pc -> native offset past its guards (-1: none)
+
+  // No branch from outside [head, last] lands inside it past the head.
+  bool SingleEntry(std::size_t head, std::size_t last) const {
+    for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
+      if (m_.depth[pc] < 0 || (pc >= head && pc <= last)) continue;
+      const int to = m_.to[pc];
+      if (to > static_cast<int>(head) && to <= static_cast<int>(last)) return false;
+    }
+    return true;
+  }
+  // The globals [lo, hi] loads and the ones it may change; false when it
+  // makes a real call or a host call (anything may change).
+  bool ScanGlobals(std::size_t lo, std::size_t hi, std::vector<char>& loaded,
+                   std::vector<char>& stored) const {
+    loaded.assign(program.globals.size(), 0);
+    stored.assign(program.globals.size(), 0);
+    const auto scan = [&](const Insn& insn) {
+      Insn ops[kMaxExpansion];
+      const int k = Expand(insn, ops);
+      for (int i = 0; i < k; ++i) {
+        const auto g = static_cast<std::size_t>(ops[i].operand);
+        if (ops[i].op == Op::kLoadGlobal) loaded[g] = 1;
+        if (ops[i].op == Op::kStoreGlobal) stored[g] = 1;
+      }
+    };
+    for (std::size_t pc = lo; pc <= hi; ++pc) {
+      if (m_.depth[pc] < 0) continue;
+      const Insn& insn = fn.code[pc];
+      if (insn.op == Op::kCallHost || (insn.op == Op::kCall && splice_at_[pc] < 0)) return false;
+      if (insn.op == Op::kCall) {
+        for (const Insn& ci : program.functions[static_cast<std::size_t>(insn.operand)].code) {
+          scan(ci);
+        }
+      }
+      scan(insn);
+    }
+    return true;
+  }
+  void PlanGuards() {
+    const std::size_t n = fn.code.size();
+    back_off_.assign(n, -1);
+    if (facts_ == nullptr) return;
+    std::vector<std::pair<std::size_t, std::size_t>> regions{{0, n - 1}};
+    for (std::size_t pc = 0; pc < n; ++pc) {
+      if (m_.depth[pc] >= 0 && IsBackEdge(pc)) {
+        const auto head = static_cast<std::size_t>(m_.to[pc]);
+        const auto it = std::find_if(regions.begin() + 1, regions.end(),
+                                     [&](const auto& r) { return r.first == head; });
+        if (it == regions.end()) {
+          regions.emplace_back(head, pc);
+        } else {
+          it->second = std::max(it->second, pc);
+        }
+      }
+    }
+    std::sort(regions.begin() + 1, regions.end());
+    std::vector<char> loaded, stored;
+    for (const auto& [head, last] : regions) {
+      const PcFacts* at = facts_->Find(fn_index, head);
+      if (at == nullptr || at->globals.size() != program.globals.size() ||
+          (head > 0 && !SingleEntry(head, last)) || !ScanGlobals(head, last, loaded, stored)) {
+        continue;
+      }
+      for (std::size_t g = 0; g < loaded.size(); ++g) {
+        const AbsVal& f = at->globals[g];
+        if (!loaded[g] || stored[g] || !f.nonnull || !f.is_array || !f.elem_known) continue;
+        const bool covered = std::any_of(guards_.begin(), guards_.end(), [&](const Guard& o) {
+          return o.global == static_cast<int>(g) && o.head <= head && o.last >= last;
+        });
+        if (!covered) {
+          guards_.push_back({static_cast<int>(g), f.elem, std::min<std::int64_t>(f.len_lo, INT32_MAX),
+                             head, last});
+        }
+      }
+    }
+  }
+  // Emitted where control enters the region at `head` (after the slack
+  // of the edge in, so fuel is exact: a failed guard deopts uncharged).
+  void EmitGuards(std::size_t head) {
+    for (const Guard& g : guards_) {
+      if (g.head != head) continue;
+      const Reg r = Alloc();
+      const auto exit = [&](Cc cc) { PushExit(a.Jcc(cc), head, m_.depth[head], true, 0); };
+      a.Load64(r, GLB, 8 * g.global);
+      a.TestRR(r, r);
+      exit(CC_E);
+      a.CmpMemImm8u(r, Object::kElemOffset, static_cast<std::uint8_t>(g.elem));
+      exit(CC_NE);  // also catches a struct, whose element kind is kVoid
+      if (g.len > 0) {
+        a.Cmp32MemImm(r, Object::kLengthOffset, static_cast<std::int32_t>(g.len));
+        exit(CC_B);
+      }
+      Free(r);
+    }
+  }
+  // The guard vouching for v at the pc being compiled, or null.
+  const Guard* GuardOf(const Val& v) const {
+    if (v.global < 0) return nullptr;
+    for (const Guard& g : guards_) {
+      if (g.global == v.global && cur_pc_ >= g.head && cur_pc_ <= g.last) return &g;
+    }
+    return nullptr;
+  }
+  const FnFacts* inl_facts_ = nullptr;  // the spliced callee's facts (AnalyzeCallee)
+  // What the side table says about the dividend of the division at pc (the
+  // second operand from the top before the instruction runs), or null.
+  const AbsVal* DividendFact(std::size_t pc) const {
+    const PcFacts* at = nullptr;
+    std::size_t depth = 0;
+    if (inl_fn_ != nullptr) {
+      at = inl_facts_ != nullptr ? inl_facts_->Find(pc) : nullptr;
+      depth = static_cast<std::size_t>(inl_.depth[pc]);
+    } else {
+      at = facts_ != nullptr ? facts_->Find(fn_index, pc) : nullptr;
+      depth = static_cast<std::size_t>(m_.depth[pc]);
+    }
+    if (at == nullptr || at->stack.size() != depth || depth < 2) return nullptr;
+    return &at->stack[depth - 2];
+  }
+
+  // Commits st->sp = frame->base + num_locals + d. Clobbers rax.
   void CommitSp(int d) {
-    a.Load64(RAX, FRM, F.base);
+    a.Load64(RAX, RSP, kFrameSlot);
+    a.Load64(RAX, RAX, F.base);
     const std::int32_t add = fn.num_locals + d;
     if (add != 0) a.AluImm(ALU_ADD, RAX, add);
     a.Store64(CTX, S.sp, RAX);
   }
 
-  void SetFramePc(std::size_t pc) {
-    a.StoreImm32Sx(FRM, F.pc, static_cast<std::int32_t>(pc));
+  void SetFramePc(std::size_t pc) {  // clobbers rax
+    a.Load64(RAX, RSP, kFrameSlot);
+    a.StoreImm32Sx(RAX, F.pc, static_cast<std::int32_t>(pc));
   }
 
   void CallHelper(const void* helper) {
@@ -1265,7 +1664,7 @@ struct Compiler {
     a.Push(R13);
     a.Push(R14);
     a.Push(R15);
-    a.AluImm(ALU_SUB, RSP, 24);  // ledger base, splice flag; keeps rsp 16-aligned at calls
+    a.AluImm(ALU_SUB, RSP, 24);  // ledger base, spare, Frame*; keeps rsp 16-aligned at calls
     a.MovRR(CTX, RDI);
     a.Load64(RAX, CTX, S.nframes);
     a.CmpRM(RAX, CTX, S.frame_limit);
@@ -1282,22 +1681,19 @@ struct Compiler {
       a.CmpRR(RCX, RDX);
     }
     no_frame_fixes_.push_back(a.Jcc(CC_A));  // VM stack overflow
-    a.ImulImm(FRM, RAX, F.size);
-    a.AddRM(FRM, CTX, S.frames);  // rbp = &frames[nframes]
+    a.ImulImm(RSI, RAX, F.size);
+    a.AddRM(RSI, CTX, S.frames);  // rsi = &frames[nframes]
+    a.Store64(RSP, kFrameSlot, RSI);
     a.MovImm64(RDX, reinterpret_cast<std::uint64_t>(&fn));
-    a.Store64(FRM, F.fn, RDX);
-    a.StoreImm32Sx(FRM, F.pc, 0);
+    a.Store64(RSI, F.fn, RDX);
+    a.StoreImm32Sx(RSI, F.pc, 0);
     if (np != 0) a.AluImm(ALU_SUB, RCX, np);
-    a.Store64(FRM, F.base, RCX);  // rcx = base from here on
+    a.Store64(RSI, F.base, RCX);  // rcx = base from here on
     a.Lea(RAX, RAX, 1);
     a.Store64(CTX, S.nframes, RAX);
     a.Load64(RDX, CTX, S.stack);
     a.LeaSib(LOCALS, RDX, RCX, 3, 0);  // r13 = stack + 8*base
     a.Load64(GLB, CTX, S.globals);
-    if (std::any_of(fn.code.begin(), fn.code.end(),
-                    [](const Insn& i) { return i.op == Op::kCall; })) {
-      EmitSpliceFlag();
-    }
     if (nl - np > 16) {
       a.XorRR32(RAX, RAX);
       a.Lea(RDI, LOCALS, 8 * np);
@@ -1318,37 +1714,38 @@ struct Compiler {
       }
     }
     EmitFuelReload();
+    if (std::any_of(splice_at_.begin(), splice_at_.end(), [](int i) { return i >= 0; })) {
+      EmitSpliceGuard();  // rsi still holds the Frame*
+    }
   }
 
   // A spliced call writes no frame, but the interpreter's PushFrame checks
   // (depth limit, reentry slack, stack room) must still hold. Their inputs
   // — nframes and frame->base — are fixed for the whole activation, so the
-  // prologue evaluates them once against the tightest stack limit of any
-  // splice site (patched in once every site is known) and parks the verdict
-  // at [rsp+8]; each site tests it and re-executes its kCall in the
-  // interpreter when it is clear, which traps exactly or, for a site with
-  // a looser limit, simply performs the call. Runs with rax = nframes
-  // (this frame included) and rcx = frame->base.
+  // prologue tests them once against the tightest stack limit of any
+  // splice site (patched in once every site is known). When they fail the
+  // activation deopts before its first instruction and the interpreter
+  // runs it from pc 0: each call there pushes a real frame, which traps
+  // exactly or, at a site with a looser limit, simply makes the call.
   std::size_t splice_limit_at_ = 0;
   std::int64_t splice_limit_ = INT32_MAX;
-  void EmitSpliceFlag() {
+  void EmitSpliceGuard() {
+    a.Load64(RAX, CTX, S.nframes);  // this frame included
     a.CmpRM(RAX, CTX, S.frame_limit);
-    const std::size_t deep = a.Jcc8(CC_AE);
-    a.U8(0x48);  // cmp rcx, imm32 (long form, patched once every site is known)
+    PushExit(a.Jcc(CC_AE), 0, 0, true, 0);
+    a.Rex(true, 0, 0, RSI);  // cmp qword [rsi + base], imm32 (the long form, patched)
     a.U8(0x81);
-    a.ModReg(ALU_CMP, RCX);
+    a.Mem(ALU_CMP, RSI, F.base);
     splice_limit_at_ = a.pos();
     a.U32(0);
-    const std::size_t high = a.Jcc8(CC_A);
-    a.StoreImm32Sx(RSP, 8, 1);
-    const std::size_t done = a.Jmp8();
-    a.PatchRel8(deep, a.pos());
-    a.PatchRel8(high, a.pos());
-    a.StoreImm32Sx(RSP, 8, 0);
-    a.PatchRel8(done, a.pos());
+    PushExit(a.Jcc(CC_A), 0, 0, true, 0);
   }
 
   void EmitEpilogue() {
+    // Deopt stubs end here: the pinned locals go back to their slots (no
+    // stub touches a pin register), then the common exit path.
+    deopt_off_ = a.pos();
+    StorePins();
     epilogue_off = a.pos();
     // Every exit funnels through here, so one ledger sync covers them all.
     // rcx is dead on all paths; rax carries the exit status and rdx a
@@ -1377,17 +1774,53 @@ struct Compiler {
     restore();
   }
 
+  std::size_t deopt_off_ = 0;
+  std::vector<std::size_t> deopt_fixes_{};  // rel32 patches to the deopt tail
+  static bool SameVal(const Val& x, const Val& y) {
+    return x.kind == y.kind && x.reg == y.reg && x.cc == y.cc && x.slot == y.slot && x.imm == y.imm;
+  }
+  // Exits whose stubs would be byte-identical (the region guards at one
+  // head, repeated checks at one pc) share the first one's.
+  static bool SameStub(const Exit& x, const Exit& y) {
+    return x.pc == y.pc && x.depth == y.depth && x.reexec == y.reexec && x.give == y.give &&
+           x.inl_callee == y.inl_callee && x.inl_kk == y.inl_kk &&
+           x.inl_ret_pc == y.inl_ret_pc && x.caller_pc == y.caller_pc &&
+           std::equal(x.map.begin(), x.map.end(), y.map.begin(), y.map.end(),
+                      [](const auto& p, const auto& q) {
+                        return p.first == q.first && SameVal(p.second, q.second);
+                      });
+  }
+
   void EmitStubs() {
-    for (const Exit& e : exits) {
+    for (const SlackStub& st : slack_stubs_) {
+      a.PatchRel32(st.at, a.pos());
+      pc_map.emplace_back(static_cast<std::uint32_t>(a.pos()), st.caller_pc);
+      GiveFuel(st.slack);
+      if (st.native >= 0) {
+        a.PatchRel32(a.Jmp(), static_cast<std::size_t>(st.native));
+      } else {
+        fixes.push_back({a.Jmp(), st.pc, st.back});
+      }
+    }
+    std::vector<std::size_t> stub_at(exits.size());
+    for (std::size_t i = 0; i < exits.size(); ++i) {
+      const Exit& e = exits[i];
+      const auto twin = std::find_if(exits.begin(), exits.begin() + static_cast<std::ptrdiff_t>(i),
+                                     [&](const Exit& o) { return SameStub(o, e); });
+      if (twin != exits.begin() + static_cast<std::ptrdiff_t>(i)) {
+        a.PatchRel32(e.at, stub_at[static_cast<std::size_t>(twin - exits.begin())]);
+        continue;
+      }
+      stub_at[i] = a.pos();
       a.PatchRel32(e.at, a.pos());
       pc_map.emplace_back(static_cast<std::uint32_t>(a.pos()), e.caller_pc);
       if (e.reexec) {
-        // The deopt map: registers first (rax may hold one), then the
-        // pinned locals, then constants and local aliases through rax.
+        // The deopt map: registers first (rax may hold one), then
+        // constants and local aliases through rax; the deopt tail stores
+        // the pinned locals.
         for (const auto& [d, v] : e.map) {
           if (v.kind == Val::kReg) a.Store64(LOCALS, SlotDisp(static_cast<std::size_t>(d)), v.reg);
         }
-        StorePins();
         for (const auto& [d, v] : e.map) {
           if (v.kind == Val::kReg) continue;
           Load(RAX, v);
@@ -1401,7 +1834,9 @@ struct Compiler {
         // resumes at callee pc `e.pc` exactly as if kCall had run. The
         // kCall-entry checks already proved frames[nframes] is in bounds,
         // and the splice region makes no calls, so nframes is unchanged.
-        a.Load64(RAX, FRM, F.base);
+        a.Load64(RAX, RSP, kFrameSlot);
+        a.StoreImm32Sx(RAX, F.pc, e.inl_ret_pc);
+        a.Load64(RAX, RAX, F.base);
         a.Lea(RDX, RAX, e.inl_kk);  // callee base (slot units)
         a.Load64(RCX, CTX, S.nframes);
         a.ImulImm(RSI, RCX, F.size);
@@ -1412,7 +1847,6 @@ struct Compiler {
         a.Store64(RSI, F.base, RDX);
         a.Lea(RCX, RCX, 1);
         a.Store64(CTX, S.nframes, RCX);
-        a.StoreImm32Sx(FRM, F.pc, e.inl_ret_pc);
         a.Lea(RDX, RDX, e.inl_callee->num_locals + e.depth);
         a.Store64(CTX, S.sp, RDX);
       } else if (e.reexec) {
@@ -1424,14 +1858,18 @@ struct Compiler {
         // epilogue sync drops the register either way.
         a.AluImm(ALU_ADD, FUEL, static_cast<std::int32_t>(e.give));
       }
-      if (e.reexec) a.MovImm32(RAX, kJitDeopt);
-      epi_fixes.push_back(a.Jmp());
+      if (e.reexec) {
+        a.MovImm32(RAX, kJitDeopt);
+        deopt_fixes_.push_back(a.Jmp());
+      } else {
+        epi_fixes.push_back(a.Jmp());
+      }
     }
   }
 
   bool EmitInsn(std::size_t pc);  // jit_emit_x64.inc
   bool EmitOp(std::size_t pc, const Insn& insn);  // jit_emit_x64.inc
-  bool EmitSplice(std::size_t pc, const FunctionCode& callee, BlockMap plan);  // jit_emit_x64.inc
+  bool EmitSplice(std::size_t pc, const FunctionCode& callee, const Splice& plan);  // jit_emit_x64.inc
 
   // Block entry bookkeeping shared by the function body and splices: a
   // join starts from memory (predecessors disagree on where values are), a
@@ -1449,13 +1887,14 @@ struct Compiler {
   bool Compile() {
     if (!Analyze()) return false;
     ChoosePins();
+    PlanGuards();
     const std::size_t n = fn.code.size();
     vn_.locals.assign(static_cast<std::size_t>(fn.num_locals), 0);
     global_gen_.assign(program.globals.size(), 0);
     loop_head_.assign(n, 0);
     for (std::size_t pc = 0; pc < n; ++pc) {
       if (m_.depth[pc] >= 0 && IsBackEdge(pc)) {
-        loop_head_[static_cast<std::size_t>(BranchTarget(fn.code[pc]))] = 1;
+        loop_head_[static_cast<std::size_t>(m_.to[pc])] = 1;
       }
     }
     pc_off.assign(n, -1);
@@ -1472,6 +1911,10 @@ struct Compiler {
       if (join) JoinValues(pc);
       pc_off[pc] = static_cast<std::int64_t>(a.pos());
       pc_map.emplace_back(static_cast<std::uint32_t>(a.pos()), cur_pc_);
+      if (std::any_of(guards_.begin(), guards_.end(), [&](const Guard& g) { return g.head == pc; })) {
+        EmitGuards(pc);
+        back_off_[pc] = static_cast<std::int64_t>(a.pos());
+      }
       if (m_.leader[pc]) EmitBlockAccounting(pc);
       if (opts.jit_compile_filter && !opts.jit_compile_filter(fn.code[pc].op)) {
         // Filter-denied op (the fuzzer's forced-deopt mode): hand the rest
@@ -1485,11 +1928,15 @@ struct Compiler {
     EmitEpilogue();
     EmitStubs();
     for (const auto& fix : fixes) {
-      if (pc_off[fix.pc] < 0) return false;
-      a.PatchRel32(fix.at, static_cast<std::size_t>(pc_off[fix.pc]));
+      const std::int64_t to = fix.back && back_off_[fix.pc] >= 0 ? back_off_[fix.pc] : pc_off[fix.pc];
+      if (to < 0) return false;
+      a.PatchRel32(fix.at, static_cast<std::size_t>(to));
     }
     for (const std::size_t at : epi_fixes) {
       a.PatchRel32(at, epilogue_off);
+    }
+    for (const std::size_t at : deopt_fixes_) {
+      a.PatchRel32(at, deopt_off_);
     }
     if (splice_limit_at_ != 0) a.PatchU32(splice_limit_at_, static_cast<std::uint32_t>(splice_limit_));
     return !failed_;
@@ -1508,16 +1955,12 @@ struct Compiler {
 
 struct Jit::Impl {
   static std::unique_ptr<Jit> Build(VM& vm) {
-    Program& program = vm.program_;
+    const Program& program = vm.program_;
     const VmOptions& opts = vm.options_;
-    // Verify-then-compile: native code is emitted only for bytecode that
-    // passed the load-time verifier in this exact form (the eBPF contract).
-    // VerifyProgram also fills max_stack, which the depth analysis bounds
-    // against.
-    const VerifyReport report = VerifyProgram(program);
-    if (!report.ok) {
-      return nullptr;
-    }
+    // Verify-then-compile: the VM constructor refuses any program that
+    // fails the load-time verifier, so native code is emitted only for
+    // bytecode that passed it in this exact form (the eBPF contract), and
+    // max_stack, which the depth analysis bounds against, is filled in.
 
     std::unique_ptr<Jit> jit(new Jit());
     const std::size_t nfns = program.functions.size();
@@ -1557,7 +2000,9 @@ struct Jit::Impl {
                  reinterpret_cast<const void*>(&Jit::HelpCallHost),
                  reinterpret_cast<const void*>(&Jit::HelpNewStruct),
                  reinterpret_cast<const void*>(&Jit::HelpNewArray),
-                 vm.stack_slots_};
+                 vm.stack_slots_,
+                 static_cast<int>(fi),
+                 program.facts.get()};
       if (!c.Compile()) {
         ++jit->stats_.bailouts;
         continue;

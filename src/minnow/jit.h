@@ -13,20 +13,24 @@
 // code — but values reach those slots lazily. Within a basic block the
 // compiler tracks where each operand lives (register, immediate, local
 // alias, flags) and numbers values by what computed them, so a repeated
-// global load, pure op or check is reused rather than redone; up to five
+// global load, pure op or check is reused rather than redone; up to six
 // locals live in registers for the whole function. Slots are written at
 // block ends, before helper and native calls, and by exit stubs. Safety
 // checks are inlined (null, element kind, bounds, divide); at sites the
 // elision certificate proved safe the `.nc` opcode forms are emitted
-// natively with no check instructions.
+// natively with no check instructions. The elision pass's other facts
+// (Program::facts) remove checks only behind guards that deopt when a
+// fact is false, hoisted to where a loop or the function is entered when
+// their inputs cannot change inside it.
 //
 // Native code works on the VM's execution state in place (ExecState, in
 // vm.h): entering it copies nothing, and each compiled function's prologue
 // pushes its own frame with the interpreter's checks.
 //
 // Fuel is charged ahead per region: one compare at each loop head, call
-// return, and entry covers the longest run to the next such point, and
-// the retired-instruction ledger is derived from the same register. Edges
+// return, and entry covers the longest run to the next such point
+// (spliced callees included), and the retired-instruction ledger is
+// derived from the same register. Edges
 // and side exits carry static corrections so the ledgers an observer can
 // read (fuel(), instructions_retired()) are bit-identical to an
 // interpreted run.
@@ -110,9 +114,9 @@ class Jit {
   // GRAFTLAB_JIT=ON). Everything else makes Compile() return null.
   static bool Available();
 
-  // Verifies and compiles `vm`'s program per vm's VmOptions (jit_* fields).
-  // Returns null — leaving the VM on the interpreter — when unavailable,
-  // when verification fails, or when nothing compiled.
+  // Compiles `vm`'s program, which the VM constructor has verified, per
+  // vm's VmOptions (jit_* fields). Returns null — leaving the VM on the
+  // interpreter — when unavailable or when nothing compiled.
   static std::unique_ptr<Jit> Compile(VM& vm);
 
   ~Jit();

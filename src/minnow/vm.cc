@@ -116,11 +116,14 @@ VM::VM(Program program, const VmOptions& options)
     // A stamped program whose code no longer matches its proof is refused
     // outright — running it would execute unchecked accesses unproven.
     throw std::invalid_argument("elision certificate does not match the code");
-  } else if (!program_.elision.attached && HasUncheckedOps(program_)) {
-    // Unchecked opcodes with no proof at all (a Program that never went
-    // through ElideChecks or VerifyProgram) are refused the same way: the
-    // interpreter and the JIT would both run them without their checks.
-    throw std::invalid_argument("unchecked opcodes without an elision certificate");
+  }
+  // Nothing runs unverified, whatever the dispatcher: the interpreters rely
+  // on the verifier's stack discipline (and on the max_stack it fills in for
+  // PushFrame's stack-room check) exactly as native code does. The verifier
+  // also refuses unchecked opcodes that carry no elision certificate.
+  const VerifyReport report = VerifyProgram(program_);
+  if (!report.ok) {
+    throw std::invalid_argument("unverifiable program: " + report.message);
   }
   // Native compilation happens after elision so `.nc` sites the certificate
   // proved safe are emitted without check instructions. Profiling VMs stay on

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -156,6 +157,14 @@ Outcome RunConfig(const Program& compiled, const Config& config, const char* fn,
   return outcome;
 }
 
+// The fuel every configuration runs with: ten times what the reference
+// run (switch dispatch, raw bytecode, unlimited fuel) retired. A miscompile
+// that breaks a loop counter then ends in a fuel-exhaustion trap the
+// reference does not raise — a divergence — instead of spinning forever.
+std::int64_t Budget(const Outcome& reference) {
+  return 10 * std::max<std::int64_t>(static_cast<std::int64_t>(reference.retired), 1);
+}
+
 // Runs `fn` under every configuration and asserts agreement with the
 // reference configuration (switch dispatch, raw bytecode).
 void ExpectAllConfigsAgree(const std::string& source, const char* fn,
@@ -165,7 +174,7 @@ void ExpectAllConfigsAgree(const std::string& source, const char* fn,
   const Outcome reference =
       RunConfig(compiled, {DispatchMode::kSwitch, false}, fn, args);
   for (const Config& config : AllConfigs()) {
-    const Outcome outcome = RunConfig(compiled, config, fn, args);
+    const Outcome outcome = RunConfig(compiled, config, fn, args, Budget(reference));
     EXPECT_EQ(outcome, reference)
         << label << " [" << config.Name() << "]: got " << Describe(outcome)
         << ", reference " << Describe(reference) << "\nsource:\n"
@@ -661,8 +670,10 @@ TEST(ElisionFuzz, CheckedAndElidedAgreeOnResultsTrapsAndFuel) {
         const Config checked{dispatch, fuse, false};
         const Config elided{dispatch, fuse, true};
         for (const auto& args : arg_sets) {
-          const Outcome want = RunConfig(compiled, checked, "f", args);
-          const Outcome got = RunConfig(compiled, elided, "f", args);
+          const std::int64_t budget =
+              Budget(RunConfig(compiled, {DispatchMode::kSwitch, false}, "f", args));
+          const Outcome want = RunConfig(compiled, checked, "f", args, budget);
+          const Outcome got = RunConfig(compiled, elided, "f", args, budget);
           ASSERT_TRUE(want.AgreesWith(got))
               << "program " << p << " [" << elided.Name() << "]: got " << Describe(got)
               << ", checked " << Describe(want) << "\nsource:\n"
@@ -708,8 +719,8 @@ TEST(ValueNumberingFuzz, RepeatedLoadsAndDivisionsAgreeWithTheReference) {
         for (const bool elide : {false, true}) {
           const Config jit{DispatchMode::kJit, fuse, elide};
           const Config interp{DispatchMode::kSwitch, fuse, elide};
-          const Outcome got = RunConfig(compiled, jit, "f", args);
-          const Outcome same_code = RunConfig(compiled, interp, "f", args);
+          const Outcome got = RunConfig(compiled, jit, "f", args, Budget(want));
+          const Outcome same_code = RunConfig(compiled, interp, "f", args, Budget(want));
           ASSERT_TRUE(want.AgreesWith(got))
               << "program " << p << " [" << jit.Name() << "]: got " << Describe(got)
               << ", reference " << Describe(want) << "\nsource:\n"
@@ -729,8 +740,9 @@ void ExpectCheckedElidedAgree(const char* source, const char* fn,
   const Program compiled = Compile(source);
   const Config checked{DispatchMode::kSwitch, false, false};
   const Config elided{DispatchMode::kSwitch, false, true};
-  const Outcome want = RunConfig(compiled, checked, fn, args);
-  const Outcome got = RunConfig(compiled, elided, fn, args);
+  const std::int64_t budget = Budget(RunConfig(compiled, checked, fn, args));
+  const Outcome want = RunConfig(compiled, checked, fn, args, budget);
+  const Outcome got = RunConfig(compiled, elided, fn, args, budget);
   EXPECT_EQ(want.trapped, expect_trap) << label;
   EXPECT_TRUE(want.AgreesWith(got)) << label << ": got " << Describe(got) << ", checked "
                                     << Describe(want);

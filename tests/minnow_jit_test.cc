@@ -32,6 +32,7 @@
 #include "src/grafts/minnow_grafts.h"
 #include "src/minnow/compiler.h"
 #include "src/minnow/diag.h"
+#include "src/minnow/elide.h"
 #include "src/minnow/jit.h"
 #include "src/minnow/optimizer.h"
 #include "src/minnow/verifier.h"
@@ -1310,6 +1311,300 @@ TEST(JitValueNumbering, RepeatedDivisionWhoseFirstInstanceTraps) {
   ExpectSame(source, "g", {7, 0}, fuel);
   ExpectSame(source, "g", {std::numeric_limits<std::int64_t>::min(), -1}, fuel);
   ExpectSame(source, "g", {-7, 3}, fuel);
+}
+
+// (v << n) | (v >> (32 - n)) over u32 compiles to one 32-bit rotate. It
+// must equal the interpreter's two masked shifts for every count — n & 31
+// == 0 (v | v), negative n, n past 31 — standalone and spliced, including
+// when v's upper bits are set.
+TEST(JitTier2, RotateIdiomMatchesForEveryCount) {
+  constexpr char kRotate[] = R"(
+    fn rotl(v: u32, n: int) -> u32 { return (v << n) | (v >> (32 - n)); }
+    fn g(x: int, n: int) -> int { return int(rotl(u32(x), n)) + n; }
+    fn h(x: int, n: int) -> int { var v: u32 = u32(x); return int((v << n) | (v >> (32 - n))); }
+  )";
+  for (const std::int64_t x : {std::int64_t{0x12345678}, std::int64_t{-1}, std::int64_t{0x80000001}}) {
+    for (std::int64_t n = -40; n <= 70; ++n) {
+      ExpectSame(kRotate, "g", {x, n});
+      ExpectSame(kRotate, "h", {x, n});
+    }
+  }
+}
+
+// A result stored straight to a pinned local is computed in that local's
+// register: in place (x = x - y), by copying an operand there first (x =
+// y - z, x = 32 - z, commutative operands in either order), or as one lea
+// or imul (x = y + 5, x = y * 3). Each form must leave every other value —
+// an alias of x still on the stack, a y that is x itself — as it was.
+TEST(JitTier2, ResultsComputedInAPinnedLocalsRegister) {
+  constexpr char kPinned[] = R"(
+    fn f(n: int, k: int) -> int {
+      var x: int = 1; var y: int = k; var z: int = 3; var s: int = 0;
+      for (var i: int = 0; i < n; i = i + 1) {
+        x = y - z; s = s + x;
+        x = 32 - z; s = s ^ x;
+        x = z + y; s = s + x;
+        x = (y & z) | (y ^ i); s = s + x;
+        x = y + 5; s = s - x;
+        x = y * 3; s = s + x;
+        x = x - y; s = s + x;
+        x = y - x; s = s + x;
+        x = x + (x - (z * y)); s = s + x;
+        y = y + i; z = z ^ y;
+      }
+      return s + x + y + z;
+    }
+  )";
+  for (const std::int64_t k : {0, 7, -9}) {
+    ExpectSame(kPinned, "f", {12, k});
+  }
+}
+
+// --- Elision facts as guards ------------------------------------------------
+//
+// The JIT reads the elision pass's per-pc facts (Program::facts) only behind
+// guards that deopt when a fact is false. Each case here plants one wrong
+// fact in a certified program's table and checks that the JIT deopts and
+// ends exactly where the interpreter does: outcome, trap text, both
+// ledgers, and the stack and frame counts.
+
+struct Ledger {
+  bool trapped = false;
+  std::string message;
+  std::int64_t result = 0;
+  std::uint64_t retired = 0;
+  std::int64_t fuel = 0;
+  std::uint64_t sp = 0;
+  std::uint64_t nframes = 0;
+
+  bool operator==(const Ledger& other) const = default;
+};
+
+std::ostream& operator<<(std::ostream& out, const Ledger& l) {
+  return out << (l.trapped ? "trap '" + l.message + "'" : "result " + std::to_string(l.result))
+             << " retired=" << l.retired << " fuel=" << l.fuel << " sp=" << l.sp
+             << " nframes=" << l.nframes;
+}
+
+// Runs fn(args) on a fresh VM over `program` with elision on; *deopts
+// receives the JIT's deopt count (0 on the interpreter).
+Ledger RunLedger(const Program& program, DispatchMode dispatch, const std::string& fn,
+                 std::initializer_list<std::int64_t> args, std::uint64_t* deopts = nullptr,
+                 std::int64_t fuel = -1) {
+  VmOptions options;
+  options.dispatch = dispatch;
+  options.elide_checks = true;
+  VM vm(program, options);
+  vm.RunInit();
+  vm.SetFuel(fuel);
+  std::vector<Value> values;
+  for (const std::int64_t a : args) values.push_back(Value::Int(a));
+  Ledger out;
+  try {
+    out.result = vm.Call(fn, values).AsInt();
+  } catch (const Trap& trap) {
+    out.trapped = true;
+    out.message = trap.what();
+  }
+  out.retired = vm.instructions_retired();
+  out.fuel = vm.fuel();
+  out.sp = vm.exec_state().sp;
+  out.nframes = vm.exec_state().nframes;
+  if (deopts != nullptr) *deopts = vm.jit_stats() != nullptr ? vm.jit_stats()->deopts : 0;
+  return out;
+}
+
+// A certified copy of `source` whose fact table `plant` may edit.
+Program PlantFacts(const std::string& source,
+                   const std::function<void(const Program&, minnow::ElideFacts&)>& plant) {
+  Program program = minnow::Compile(source);
+  minnow::ElideChecks(program);
+  auto facts = std::make_shared<minnow::ElideFacts>(*program.facts);
+  plant(program, *facts);
+  program.facts = std::move(facts);
+  return program;
+}
+
+// The recorded state of `fn` at the first pc whose instruction is `op`.
+minnow::PcFacts& FactsAt(const Program& program, minnow::ElideFacts& facts, const char* fn,
+                         minnow::Op op) {
+  const int f = program.FindFunction(fn);
+  const auto& code = program.functions[static_cast<std::size_t>(f)].code;
+  std::size_t pc = 0;
+  while (code[pc].op != op) ++pc;
+  auto& table = facts.functions[static_cast<std::size_t>(f)];
+  const auto it = std::find(table.pcs.begin(), table.pcs.end(), static_cast<std::uint32_t>(pc));
+  EXPECT_NE(it, table.pcs.end()) << fn << " has no facts at pc " << pc;
+  return table.at[static_cast<std::size_t>(it - table.pcs.begin())];
+}
+
+void ExpectPlantedFactDeopts(const Program& program, const std::string& fn,
+                             std::initializer_list<std::int64_t> args) {
+  const Ledger interp = RunLedger(program, DispatchMode::kSwitch, fn, args);
+  std::uint64_t deopts = 0;
+  const Ledger jit = RunLedger(program, DispatchMode::kJit, fn, args, &deopts);
+  EXPECT_EQ(interp, jit) << "interp: " << interp << "\njit:    " << jit;
+  if (VM::JitDispatchAvailable()) {
+    EXPECT_GT(deopts, 0u) << "the wrong fact was used without a guard";
+  }
+}
+
+TEST(JitFacts, NegativeDividendClaimedNonNegativeDeopts) {
+  // x % 16 with x a parameter: the table knows nothing about x's sign.
+  // Claiming x >= 0 turns the signed-bias sequence into a mask behind a
+  // sign guard, which must catch x = -7 (the interpreter returns -7).
+  const Program caller = PlantFacts(
+      "fn f(x: int) -> int { return x % 16; }", [](const Program& p, minnow::ElideFacts& facts) {
+        minnow::PcFacts& at = FactsAt(p, facts, "f", minnow::Op::kModNZ);
+        at.stack[at.stack.size() - 2].lo = 0;
+      });
+  ExpectPlantedFactDeopts(caller, "f", {-7});
+  // The same claim on a spliced callee's argument, which reaches the
+  // callee's division through the transfer the JIT runs at the splice.
+  const Program spliced = PlantFacts(
+      "fn m(x: int) -> int { return (x * 3 + 1) % 16; } fn f(x: int) -> int { return m(x) + 1; }",
+      [](const Program& p, minnow::ElideFacts& facts) {
+        minnow::PcFacts& at = FactsAt(p, facts, "f", minnow::Op::kCall);
+        at.stack.back() = minnow::AbsVal::Range(0, 100);
+      });
+  ExpectPlantedFactDeopts(spliced, "f", {-7});
+}
+
+// g holds 15 ints and the mask lets the index reach 15, so a run of 20
+// iterations traps on g[15]; a length bound of 16 would drop the check.
+constexpr char kGlobalArraySum[] = R"(
+  var g: int[] = new int[15];
+  fn f(n: int) -> int {
+    var s: int = 0;
+    for (var i: int = 0; i < n; i = i + 1) { g[i & 15 & 7] = i; s = s + g[i & 15]; }
+    return s;
+  }
+)";
+
+TEST(JitFacts, WrongElementKindForAGlobalArrayDeopts) {
+  const Program program =
+      PlantFacts(kGlobalArraySum, [](const Program& p, minnow::ElideFacts& facts) {
+        const int f = p.FindFunction("f");
+        for (minnow::PcFacts& at : facts.functions[static_cast<std::size_t>(f)].at) {
+          for (minnow::AbsVal& g : at.globals) {
+            if (g.elem_known) g.elem = minnow::TypeKind::kU32;
+          }
+        }
+      });
+  ExpectPlantedFactDeopts(program, "f", {15});  // no trap: only the guard can deopt
+}
+
+TEST(JitFacts, LengthLowerBoundOneTooLargeDeopts) {
+  const Program program =
+      PlantFacts(kGlobalArraySum, [](const Program& p, minnow::ElideFacts& facts) {
+        const int f = p.FindFunction("f");
+        for (minnow::PcFacts& at : facts.functions[static_cast<std::size_t>(f)].at) {
+          for (minnow::AbsVal& g : at.globals) {
+            if (g.len_lo == 15) g.len_lo = 16;
+          }
+        }
+      });
+  ExpectPlantedFactDeopts(program, "f", {20});
+}
+
+TEST(JitFacts, TrueFactsRunWithoutDeopts) {
+  const Program program = PlantFacts(kGlobalArraySum, [](const Program&, minnow::ElideFacts&) {});
+  for (const std::int64_t n : {15, 20}) {  // the second traps on g[15]
+    const Ledger interp = RunLedger(program, DispatchMode::kSwitch, "f", {n});
+    std::uint64_t deopts = 0;
+    const Ledger jit = RunLedger(program, DispatchMode::kJit, "f", {n}, &deopts);
+    EXPECT_EQ(interp, jit) << "interp: " << interp << "\njit:    " << jit;
+    EXPECT_EQ(interp.trapped, n == 20);
+    if (VM::JitDispatchAvailable()) {
+      EXPECT_EQ(deopts, n == 20 ? 1u : 0u);  // the trap re-executes in the interpreter
+    }
+  }
+}
+
+// A loop whose body splices two callees joins one fuel plan: one check per
+// iteration, the callees' longest paths charged up front and unexecuted
+// remainders given back on every edge and exit. Every budget from 0 to the
+// whole run must leave exactly the interpreter's ledgers.
+constexpr char kTwoSplices[] = R"(
+  fn g(x: int) -> int { if (x < 3) { return x; } return (x * 5 + 1) % 16; }
+  fn h(v: int, n: int) -> int { if (n == 0) { return v; } return (v << n) | (v >> 3); }
+  fn f(n: int) -> int {
+    var s: int = 0;
+    for (var i: int = 0; i < n; i = i + 1) { s = s + h(g(i), i % 4); }
+    return s;
+  }
+)";
+
+TEST(JitFuel, ExhaustionAtEveryInstructionOfALoopWithTwoSplices) {
+  for (const bool elide : {false, true}) {
+    Program program = minnow::Compile(kTwoSplices);
+    if (elide) minnow::ElideChecks(program);
+    const Ledger full = RunLedger(program, DispatchMode::kSwitch, "f", {6});
+    ASSERT_FALSE(full.trapped);
+    for (std::int64_t fuel = 0; fuel <= static_cast<std::int64_t>(full.retired); ++fuel) {
+      const Ledger interp = RunLedger(program, DispatchMode::kSwitch, "f", {6}, nullptr, fuel);
+      const Ledger jit = RunLedger(program, DispatchMode::kJit, "f", {6}, nullptr, fuel);
+      ASSERT_EQ(interp, jit) << "elide=" << elide << " budget " << fuel << "\ninterp: " << interp
+                             << "\njit:    " << jit;
+    }
+  }
+}
+
+// Six hot locals take all six pin registers (rbp among them) across a
+// real call, a host call that reenters the VM and rewrites a global, and
+// a spliced callee whose division traps when i reaches z.
+constexpr char kSixPins[] = R"(
+  var gv: int = 0;
+  fn real(x: int) -> int { var t: int = 0; for (var k: int = 0; k < 2; k = k + 1) { t = t + x; } return t; }
+  fn setg(v: int) { gv = v; }
+  fn quo(x: int, y: int) -> int { return x / y; }
+  fn f(n: int, z: int) -> int {
+    var a: int = 1; var b: int = 2; var c: int = 3; var d: int = 4; var e: int = 5; var h: int = 6;
+    for (var i: int = 0; i < n; i = i + 1) {
+      a = a + real(b); b = b ^ c; c = c + d; d = d + e; e = e + h; h = h + a;
+      h = h + poke(i);
+      a = a + gv;
+      b = b + quo(c, z - i);
+    }
+    return a + b + c + d + e + h;
+  }
+)";
+
+TEST(JitTier2, SixthPinSurvivesCallsReentryAndSpliceExits) {
+  HostDecl poke;
+  poke.name = "poke";
+  poke.params = {Type::Int()};
+  poke.ret = Type::Int();
+  const Program program = minnow::Compile(kSixPins, {poke});
+  const auto run = [&](DispatchMode dispatch, std::int64_t n, std::int64_t z) {
+    VmOptions options;
+    options.dispatch = dispatch;
+    VM vm(program, options);
+    vm.BindHost("poke", [](VM& inner, std::span<const Value> args) {
+      inner.Call("setg", {Value::Int(args[0].AsInt() * 7)});
+      return Value::Int(args[0].AsInt() + 1);
+    });
+    vm.RunInit();
+    Ledger out;
+    try {
+      out.result = vm.Call("f", {Value::Int(n), Value::Int(z)}).AsInt();
+    } catch (const Trap& trap) {
+      out.trapped = true;
+      out.message = trap.what();
+    }
+    out.retired = vm.instructions_retired();
+    out.fuel = vm.fuel();
+    out.sp = vm.exec_state().sp;
+    out.nframes = vm.exec_state().nframes;
+    return out;
+  };
+  for (const auto& [n, z] : {std::pair<std::int64_t, std::int64_t>{9, 100}, {9, 4}}) {
+    const Ledger interp = run(DispatchMode::kSwitch, n, z);
+    const Ledger jit = run(DispatchMode::kJit, n, z);
+    EXPECT_EQ(interp, jit) << "n=" << n << " z=" << z << "\ninterp: " << interp
+                           << "\njit:    " << jit;
+    EXPECT_EQ(interp.trapped, z < n);
+  }
 }
 
 TEST(JitResolve, PcsOutsideCompiledCodeResolveToNothing) {

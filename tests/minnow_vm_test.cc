@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -402,6 +403,33 @@ TEST(Verifier, RejectsInconsistentMergeDepth) {
   };
   program.functions.push_back(std::move(fn));
   EXPECT_FALSE(minnow::VerifyProgram(program).ok);
+}
+
+// Nothing runs unverified: a VM refuses bytecode the verifier rejects on
+// every dispatcher, not only when it compiles to native code. This program
+// reaches pc 3 at depth 0 on the branch and depth 1 on the fall-through;
+// an interpreter that skipped verification would run it and return 5.
+TEST(Verifier, EveryDispatcherRefusesUnverifiableCode) {
+  Program program;
+  minnow::FunctionCode fn;
+  fn.name = "f";
+  fn.returns_value = true;
+  fn.code = {
+      {minnow::Op::kConstInt, 1},   // 0
+      {minnow::Op::kJmpIfTrue, 3},  // 1: to 3 at depth 0
+      {minnow::Op::kConstInt, 7},   // 2: falls into 3 at depth 1
+      {minnow::Op::kConstInt, 5},   // 3: inconsistent stack depth
+      {minnow::Op::kRet, 0},        // 4
+  };
+  program.functions.push_back(std::move(fn));
+  for (const minnow::DispatchMode dispatch :
+       {minnow::DispatchMode::kSwitch, minnow::DispatchMode::kThreaded,
+        minnow::DispatchMode::kJit}) {
+    minnow::VmOptions options;
+    options.dispatch = dispatch;
+    EXPECT_THROW(VM(program, options), std::invalid_argument)
+        << "dispatch " << static_cast<int>(dispatch);
+  }
 }
 
 TEST(Verifier, RejectsBadFieldAndStructIndices) {
